@@ -33,7 +33,21 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import numpy.typing as npt
 
-from repro.model.approx import approx_eq, is_zero
+from repro.model.approx import EPSILON, approx_eq, is_zero
+
+#: Slack of the MGL incumbent cutoff (docs/PERFORMANCE.md, "Why it
+#: stays bit-identical").  Subtracted as is from a minimized cost, it
+#: must exceed the 1e-12 hysteresis of the site minimization and the
+#: guard walk.  Scaled by the curves' magnitude in :func:`cost_floor`,
+#: it must exceed the error of ``EPSILON`` breakpoint coalescing in
+#: :func:`sum_curves` (at most ``3 * EPSILON`` per unit of curve
+#: weight), with room for float rounding on top.
+SLACK: float = 10 * EPSILON
+
+#: One pushed cell's curve inputs, in the argument order of
+#: :meth:`DisplacementCurve.pushed_right`/``pushed_left``:
+#: ``(current_x, gp_x, offset, weight)``.
+PushedCurve = Tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -245,6 +259,78 @@ def minimize_over_sites(
             best_x = x
     assert best_x is not None
     return best_x, best_cost
+
+
+def cost_floor(
+    gp_x: float,
+    target_weight: float,
+    constant: float,
+    right: Sequence[PushedCurve],
+    left: Sequence[PushedCurve],
+    lo_site: int,
+    hi_site: int,
+) -> float:
+    """A value no computed site cost of the summed curve can undercut.
+
+    The summed curve is the one the insertion evaluation minimizes:
+    ``DisplacementCurve.target(gp_x, target_weight)``, a ``constant``
+    curve, a ``pushed_right``/``pushed_left`` curve per pushed cell, and
+    a constant curve subtracting every pushed cell's current (base)
+    displacement.  Over sites in ``[lo_site, hi_site]`` each term is
+    bounded below on its own — the target by its distance to the range,
+    a pushed cell by the distance from its anchor to the positions it
+    sweeps, ``[new x at lo_site, new x at hi_site]`` — and the sum of
+    per-term minima never exceeds the minimum of the sum.
+
+    The bound holds for the exact sum; :class:`CurveSet` evaluates it
+    with breakpoints coalesced within ``EPSILON`` and in float
+    arithmetic.  Both errors scale with the curves' total weight times
+    the largest coordinate involved (plus the base displacements), so
+    the floor is lowered by :data:`SLACK` times that scale.  The result
+    is therefore at most ``CurveSet(curves).minimize(lo_site,
+    hi_site)``'s cost (Hypothesis-tested in
+    tests/test_incumbent_cutoff.py).
+    """
+    if gp_x < lo_site:
+        floor = target_weight * (lo_site - gp_x) + constant
+    elif gp_x > hi_site:
+        floor = target_weight * (gp_x - hi_site) + constant
+    else:
+        floor = constant
+    weights = target_weight
+    reach = max(abs(gp_x), abs(lo_site), abs(hi_site))
+    bases = abs(constant)
+    # The swept interval of a right cell is [max(cur, lo + off),
+    # max(cur, hi + off)], of a left cell [min(cur, lo - off),
+    # min(cur, hi - off)]: both ends are monotone in the target x.
+    # Conditionals instead of min/max/abs calls keep this loop cheap.
+    for side, cells in ((1, right), (-1, left)):
+        for current, anchor, offset, weight in cells:
+            swept_lo = lo_site + side * offset
+            swept_hi = hi_site + side * offset
+            if side > 0:
+                if swept_lo < current:
+                    swept_lo = current
+                if swept_hi < current:
+                    swept_hi = current
+            else:
+                if swept_lo > current:
+                    swept_lo = current
+                if swept_hi > current:
+                    swept_hi = current
+            base = weight * (current - anchor if current > anchor else anchor - current)
+            if anchor < swept_lo:
+                floor += weight * (swept_lo - anchor) - base
+            elif anchor > swept_hi:
+                floor += weight * (anchor - swept_hi) - base
+            else:
+                floor -= base
+            weights += weight
+            bases += base
+            span = abs(current) + abs(anchor) + offset
+            if span > reach:
+                reach = span
+    return floor - SLACK * (weights * (1.0 + reach) + bases)
 
 
 class CurveSet:

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.curves import CurveSet, DisplacementCurve
+from repro.core.curves import (
+    SLACK,
+    CurveSet,
+    DisplacementCurve,
+    PushedCurve,
+    cost_floor,
+)
 from repro.core.occupancy import Occupancy
 from repro.core.refine import RoutabilityGuard
 from repro.core.soa import SoAState, VectorEvaluator
@@ -587,7 +593,12 @@ class InsertionContext:
                 # (the incumbent cannot improve without evaluations).
                 heap.clear()
                 break
-            result = self.evaluate(bottom_row, gaps)
+            # The incumbent's cost is the cutoff: a candidate that
+            # provably costs more comes back None, like an infeasible one,
+            # and could never have replaced the incumbent anyway.
+            result = self.evaluate(
+                bottom_row, gaps, None if best is None else best.cost
+            )
             evaluated_points += 1
             if result is None:
                 continue
@@ -655,7 +666,10 @@ class InsertionContext:
     # ------------------------------------------------------------------
 
     def evaluate(
-        self, bottom_row: int, gaps: Sequence[Gap]
+        self,
+        bottom_row: int,
+        gaps: Sequence[Gap],
+        cutoff: Optional[float] = None,
     ) -> Optional[EvaluatedInsertion]:
         """Exact feasibility, optimal x, and spread moves for a combination.
 
@@ -664,13 +678,22 @@ class InsertionContext:
         to the vector backend when one is attached; candidates outside
         its fast-path shape fall back to :meth:`evaluate_scalar`, so the
         two backends are candidate-for-candidate identical.
+
+        ``cutoff`` is the incumbent's cost, if there is one.  A candidate
+        whose final cost provably exceeds it also returns None, before
+        the curve assembly or the guard walk (see
+        :meth:`finish_with_compiled`); every other result is exactly the
+        one evaluated without a cutoff.
         """
         if self._vector is not None:
-            return self._vector.evaluate(bottom_row, gaps)
-        return self.evaluate_scalar(bottom_row, gaps)
+            return self._vector.evaluate(bottom_row, gaps, cutoff)
+        return self.evaluate_scalar(bottom_row, gaps, cutoff)
 
     def evaluate_scalar(
-        self, bottom_row: int, gaps: Sequence[Gap]
+        self,
+        bottom_row: int,
+        gaps: Sequence[Gap],
+        cutoff: Optional[float] = None,
     ) -> Optional[EvaluatedInsertion]:
         """The reference evaluation: per-candidate transitive push walk."""
         right_info = self._push_side(gaps, side=+1)
@@ -686,6 +709,7 @@ class InsertionContext:
         return self.finish_evaluation(
             bottom_row, gaps,
             right_offsets, right_limit, left_offsets, left_limit,
+            cutoff=cutoff,
         )
 
     def finish_evaluation(
@@ -697,6 +721,7 @@ class InsertionContext:
         left_offsets: Dict[int, int],
         left_limit: float,
         vectorized: bool = False,
+        cutoff: Optional[float] = None,
     ) -> Optional[EvaluatedInsertion]:
         """Shared tail of both backends: curves, minimize, guard, moves.
 
@@ -704,11 +729,16 @@ class InsertionContext:
         ascending, left side outward-descending): curve summation is a
         float accumulation in curve order, so dict order is part of the
         bit-equality contract.  ``vectorized`` only switches the guard to
-        its batched (but walk-identical) probe path.
+        its batched (but walk-identical) probe path.  ``cutoff`` is the
+        incumbent cost of :meth:`evaluate`.
         """
         lo = left_limit
         hi = right_limit
         if math.ceil(lo) > math.floor(hi):
+            return None
+        if self.loses_by_floor(
+            bottom_row, right_offsets, left_offsets, lo, hi, cutoff
+        ):
             return None
 
         placement = self.occupancy.placement
@@ -751,8 +781,57 @@ class InsertionContext:
         # arithmetic to DisplacementCurve.value on the summed curve.
         return self.finish_with_compiled(
             bottom_row, gaps, right_offsets, left_offsets,
-            lo, hi, CurveSet(curves), vectorized,
+            lo, hi, CurveSet(curves), vectorized, cutoff,
         )
+
+    def loses_by_floor(
+        self,
+        bottom_row: int,
+        right_offsets: Dict[int, int],
+        left_offsets: Dict[int, int],
+        lo: float,
+        hi: float,
+        cutoff: Optional[float],
+    ) -> bool:
+        """Whether the candidate's :func:`cost_floor` exceeds ``cutoff``.
+
+        Shared by both backends, ahead of their curve assembly.  The
+        floor bounds the minimized curve from below, and neither the
+        guard's shift nor its penalties (>= 0) can lower a cost below
+        the minimum, so a candidate failing here costs more than the
+        incumbent and its key loses.
+        """
+        if cutoff is None:
+            return False
+        placement_x = self.occupancy.placement.x
+        gp_x = self.design.gp_x
+        use_gp = self.reference == "gp"
+        weight_of = self.weight_of
+        x_unit = self.x_unit
+
+        def pushed(offsets: Dict[int, int]) -> List[PushedCurve]:
+            return [
+                (
+                    placement_x[cell],
+                    float(gp_x[cell]) if use_gp else placement_x[cell],
+                    offset,
+                    weight_of(cell) * x_unit,
+                )
+                for cell, offset in offsets.items()
+            ]
+
+        # float() keeps the floor on Python floats (GP coordinates are
+        # NumPy scalars); the values are unchanged.
+        floor = cost_floor(
+            float(self.gp_x),
+            weight_of(self.target) * x_unit,
+            float(weight_of(self.target) * abs(bottom_row - self.gp_y)),
+            pushed(right_offsets),
+            pushed(left_offsets),
+            math.ceil(lo),
+            math.floor(hi),
+        )
+        return floor > cutoff
 
     def finish_with_compiled(
         self,
@@ -764,21 +843,34 @@ class InsertionContext:
         hi: float,
         compiled: CurveSet,
         vectorized: bool,
+        cutoff: Optional[float] = None,
     ) -> Optional[EvaluatedInsertion]:
         """Minimize + guard + moves over an already-compiled curve set.
 
         Split out of :meth:`finish_evaluation` so the SoA backend, which
         assembles the summed curve directly from arrays, can join the
         shared pipeline at the compiled stage.
+
+        With a ``cutoff``, a minimum above ``cutoff + SLACK`` returns
+        None before the guard walk: the guard only moves to sites whose
+        cost is no lower than the minimum less its 1e-12 hysteresis and
+        only adds penalties >= 0, so the final cost would exceed the
+        cutoff.  A pinless target skips the walk outright — no site is
+        blocked and no penalty applies, so the walk provably keeps the
+        optimum with zero extra (tests/test_incumbent_cutoff.py).
         """
         placement = self.occupancy.placement
         best = compiled.minimize(lo, hi)
         if best is None:
             return None
         best_x, best_cost = best
+        if cutoff is not None and best_cost - SLACK > cutoff:
+            return None
 
         if self.guard is not None:
-            if vectorized:
+            if not self.target_type.pins:
+                extra = 0.0
+            elif vectorized:
                 best_x, extra = self.guard.adjust_x_vector(
                     self.target_type,
                     bottom_row,

@@ -154,6 +154,10 @@ class LegalizerParams:
             raise ValueError("matching_delta0 must be positive")
         if self.flow_n0 < 0:
             raise ValueError("flow_n0 must be non-negative")
+        if self.io_penalty < 0 or self.blocked_penalty < 0:
+            # The MGL incumbent cutoff relies on guard penalties never
+            # lowering a candidate's cost.
+            raise ValueError("io_penalty and blocked_penalty must be non-negative")
         if self.seed_order not in ("height_area_x", "gp_x", "input"):
             raise ValueError(f"unknown seed_order {self.seed_order!r}")
         if self.scheduler_capacity < 1:

@@ -42,14 +42,16 @@ class _GuardCaches(threading.local):
 
     def __init__(self) -> None:
         self.row_ok: Dict[Tuple[str, int], bool] = {}
-        self.x_blocked: Dict[Tuple[str, bool, int], bool] = {}
         self.io_pairs: Dict[
             Tuple[str, int], List[Tuple[float, float, float, float]]
         ] = {}
-        # SoA mirrors for the vectorized guard path (repro.core.soa):
-        # a per-(type, flip) boolean mask over every site, and the
-        # io_pairs tuples transposed into four parallel float arrays.
-        self.blocked_mask: Dict[Tuple[str, bool], npt.NDArray[np.bool_]] = {}
+        # A per-(type, flip) boolean mask over every site, with a list
+        # twin for x_blocked's scalar lookups, and for the vectorized
+        # guard path the io_pairs tuples transposed into four parallel
+        # float arrays.
+        self.blocked_sites: Dict[
+            Tuple[str, bool], Tuple[npt.NDArray[np.bool_], List[bool]]
+        ] = {}
         self.io_arrays: Dict[
             Tuple[str, int], Optional[Tuple[npt.NDArray[np.float64], ...]]
         ] = {}
@@ -62,8 +64,9 @@ class RoutabilityGuard:
         self.design = design
         self.params = params or LegalizerParams()
         self._caches = _GuardCaches()
-        # The x_blocked cache drops the row when every vertical stripe
-        # runs the chip's full height (the standard grid does).
+        # x_blocked answers from a per-(type, flip) site mask when every
+        # vertical stripe runs the chip's full height (the standard grid
+        # does): the row then only matters through the flip state.
         chip_y = design.chip_rect_length_units.y_interval
         self._x_cacheable = all(
             rail.extent.lo <= chip_y.lo and rail.extent.hi >= chip_y.hi
@@ -143,30 +146,20 @@ class RoutabilityGuard:
     def x_blocked(self, cell_type: CellType, row: int, x: int) -> bool:
         """True when a vertical rail shorts/blocks some pin at ``(x, row)``.
 
-        Vertical stripes run the full chip height, so (given the flip
-        state) the answer depends only on the cell type and x — cached.
+        When vertical stripes run the full chip height, the answer for
+        an on-chip site is read from :meth:`site_blocked_mask`.
         """
         if not cell_type.pins:
             return False
-        key = (cell_type.name, self._is_flipped(cell_type, row), int(x))
-        if self._x_cacheable:
-            cached = self._caches.x_blocked.get(key)
-            if cached is not None:
-                return cached
-        rails = self.design.rails
-        blocked = False
+        if self._x_cacheable and 0 <= x <= self.design.num_sites:
+            return self._blocked_sites(cell_type, row)[1][x]
         for layer, rect in self.pin_rects_at(cell_type, row, x):
-            for rail in rails.rails:
+            for rail in self.design.rails.rails:
                 if rail.orientation != "v":
                     continue
                 if rail.layer in (layer, layer + 1) and rail.overlaps_rect(rect):
-                    blocked = True
-                    break
-            if blocked:
-                break
-        if self._x_cacheable:
-            self._caches.x_blocked[key] = blocked
-        return blocked
+                    return True
+        return False
 
     def _io_pairs(
         self, cell_type: CellType, row: int
@@ -274,28 +267,45 @@ class RoutabilityGuard:
     ) -> Optional[npt.NDArray[np.bool_]]:
         """Per-site vertical-rail conflict mask for ``cell_type`` at ``row``.
 
-        ``mask[x]`` equals :meth:`x_blocked` for every left-edge site of
-        the chip; the mask depends only on the flip state when vertical
-        stripes span the full chip height (the same condition under which
-        ``x_blocked`` itself is cacheable) — otherwise None is returned
+        ``mask[x]`` is True when a vertical rail shorts or blocks some
+        pin of the cell placed at left-edge site ``x``, for every site of
+        the chip.  The mask depends only on the flip state when vertical
+        stripes span the full chip height — otherwise None is returned
         and callers must stay on the scalar walk.
+
+        Built for all sites at once: each (pin, stripe family) pair runs
+        the elementwise operations of ``Rail.overlaps_rect`` — translate,
+        span clamp, floor of the stripe index, the three witness probes
+        — over the array of translated pin edges, in the same IEEE-754
+        order, so every entry equals the per-site rectangle test.
         """
         if not self._x_cacheable:
             return None
+        return self._blocked_sites(cell_type, row)[0]
+
+    def _blocked_sites(
+        self, cell_type: CellType, row: int
+    ) -> Tuple[npt.NDArray[np.bool_], List[bool]]:
+        """The site mask and its list twin, built once per (type, flip)."""
         key = (cell_type.name, self._is_flipped(cell_type, row))
-        cached = self._caches.blocked_mask.get(key)
+        cached = self._caches.blocked_sites.get(key)
         if cached is not None:
             return cached
-        mask = np.fromiter(
-            (
-                self.x_blocked(cell_type, row, x)
-                for x in range(self.design.num_sites + 1)
-            ),
-            dtype=np.bool_,
-            count=self.design.num_sites + 1,
-        )
-        self._caches.blocked_mask[key] = mask
-        return mask
+        design = self.design
+        x_len = np.arange(design.num_sites + 1, dtype=np.float64) * design.site_width
+        mask = np.zeros(x_len.size, dtype=np.bool_)
+        rails = [rail for rail in design.rails.rails if rail.orientation == "v"]
+        # x = 0 leaves the pin's x edges as they are and places its y edges.
+        for layer, rect in self.pin_rects_at(cell_type, row, 0):
+            for rail in rails:
+                if rail.layer not in (layer, layer + 1):
+                    continue
+                if rect.yhi <= rect.ylo or not rail.extent.overlaps(rect.y_interval):
+                    continue
+                mask |= rail.overlaps_intervals(rect.xlo + x_len, rect.xhi + x_len)
+        entry = (mask, mask.tolist())
+        self._caches.blocked_sites[key] = entry
+        return entry
 
     def _io_pair_arrays(
         self, cell_type: CellType, row: int

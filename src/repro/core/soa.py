@@ -314,7 +314,10 @@ class VectorEvaluator:
     # ------------------------------------------------------------------
 
     def evaluate(
-        self, bottom_row: int, gaps: Sequence["Gap"]
+        self,
+        bottom_row: int,
+        gaps: Sequence["Gap"],
+        cutoff: Optional[float] = None,
     ) -> Optional["EvaluatedInsertion"]:
         """Exact evaluation of one candidate on the array backend.
 
@@ -323,7 +326,8 @@ class VectorEvaluator:
         walk otherwise (same offsets, same limits either way); every
         candidate then finishes through :meth:`_finish_fast`, which
         assembles the summed displacement curve directly instead of
-        materializing per-cell curve objects.
+        materializing per-cell curve objects.  ``cutoff`` is the
+        incumbent cost of :meth:`InsertionContext.evaluate`.
         """
         context = self.context
         sides: Optional[Sides] = None
@@ -345,7 +349,7 @@ class VectorEvaluator:
             if set(right_offsets) & set(left_offsets):
                 return None  # A cell would be pushed both ways.
             sides = (right_offsets, right_limit, left_offsets, left_limit)
-        return self._finish_fast(bottom_row, gaps, *sides)
+        return self._finish_fast(bottom_row, gaps, *sides, cutoff)
 
     def _push_fast(
         self, gaps: Sequence["Gap"], side: int
@@ -545,6 +549,7 @@ class VectorEvaluator:
         right_limit: float,
         left_offsets: Dict[int, int],
         left_limit: float,
+        cutoff: Optional[float],
     ) -> Optional["EvaluatedInsertion"]:
         """Array-backed twin of :meth:`InsertionContext.finish_evaluation`.
 
@@ -563,8 +568,12 @@ class VectorEvaluator:
         hi = right_limit
         if math.ceil(lo) > math.floor(hi):
             return None
-
         context = self.context
+        if context.loses_by_floor(
+            bottom_row, right_offsets, left_offsets, lo, hi, cutoff
+        ):
+            return None
+
         placement = context.occupancy.placement
         gp_of = context.design.gp_x
         weight_of = context.weight_of
@@ -656,7 +665,7 @@ class VectorEvaluator:
         )
         return context.finish_with_compiled(
             bottom_row, gaps, right_offsets, left_offsets,
-            lo, hi, compiled, vectorized=True,
+            lo, hi, compiled, vectorized=True, cutoff=cutoff,
         )
 
     def _cells_slice(

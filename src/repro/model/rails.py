@@ -16,6 +16,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.model.geometry import Interval, Rect
 
 HORIZONTAL = "h"
@@ -80,6 +83,28 @@ class Rail:
             if stripe_lo < hi and stripe_lo + self.width > lo:
                 return True
         return False
+
+    def overlaps_intervals(
+        self, lo: npt.NDArray[np.float64], hi: npt.NDArray[np.float64]
+    ) -> npt.NDArray[np.bool_]:
+        """:meth:`overlaps_interval` over parallel arrays of intervals.
+
+        Runs the scalar method's operations elementwise in the same
+        order — emptiness test, span clamp, floor of the stripe index,
+        the three witness probes — so each entry equals the scalar
+        answer for the same ``(lo, hi)`` pair.
+        """
+        hits = hi > lo
+        lo = np.maximum(lo, self.span.lo)
+        hi = np.minimum(hi, self.span.hi)
+        hits &= hi > lo
+        first = np.floor((lo - self.offset - self.width) / self.pitch) + 1
+        witness = np.zeros(lo.shape, dtype=np.bool_)
+        for shift in (-1, 0, 1):
+            stripe_lo = self.offset + (first + shift) * self.pitch
+            witness |= (stripe_lo < hi) & (stripe_lo + self.width > lo)
+        hits &= witness
+        return hits
 
     def overlaps_rect(self, rect: Rect) -> bool:
         """True when some stripe of this family intersects ``rect``."""

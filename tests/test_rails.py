@@ -1,5 +1,6 @@
 """Unit tests for P/G rail grids and pin short/access queries."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -82,6 +83,33 @@ class TestRail:
             for i in range(first, first + int(length / pitch) + 6)
         )
         assert rail.overlaps_interval(lo, hi) == brute
+
+    @given(
+        st.sampled_from([0.0, 0.1, 1.3, -2.5]),
+        st.sampled_from([0.1, 0.2, 2.0, 7.3]),
+        st.sampled_from([0.05, 0.1, 0.5]),
+        st.sampled_from([(0.0, 8.0), (-100.0, 100.0), (3.1, 3.3)]),
+        st.floats(min_value=-0.2, max_value=0.5),
+        st.sampled_from([0.2, 0.1, 0.05, 0.0, -0.1]),
+    )
+    def test_overlaps_intervals_matches_scalar(self, offset, pitch, width,
+                                               span, pin_lo, pin_width):
+        """The array form equals the scalar one, stripe edges included."""
+        width = min(width, pitch)
+        rail = Rail(3, VERTICAL, offset, pitch, width, Interval(*span),
+                    Interval(0.0, 10.0))
+        # Site-grid translations put the pin edges on every multiple of
+        # the site width, which lands on stripe edges whenever the
+        # pitch is a multiple of it (the 31.9 / 0.1 rounding case).
+        shifts = np.arange(120, dtype=np.float64) * 0.1
+        lo = pin_lo + shifts
+        hi = (pin_lo + pin_width) + shifts
+        got = rail.overlaps_intervals(lo, hi).tolist()
+        expected = [
+            rail.overlaps_interval(pin_lo + shift, (pin_lo + pin_width) + shift)
+            for shift in shifts.tolist()
+        ]
+        assert got == expected
 
 
 class TestRailGrid:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.benchgen import generate_design, iccad2017_suite, ispd2015_suite
 from repro.core.params import LegalizerParams
 from repro.core.refine import RoutabilityGuard
 from repro.model.design import Design
@@ -133,3 +134,67 @@ class TestFeasibleRange:
         q = nopin_tech.cell_types[0]
         lo, hi = guard.feasible_range(q, 1, 10, 0, 37)
         assert lo >= 8 and hi <= 12
+
+
+def pin_under_stripe(design, guard, cell_type, row, x):
+    """The per-site rectangle test the mask stands for."""
+    return any(
+        rail.layer in (layer, layer + 1) and rail.overlaps_rect(rect)
+        for layer, rect in guard.pin_rects_at(cell_type, row, x)
+        for rail in design.rails.rails
+        if rail.orientation == VERTICAL
+    )
+
+
+class TestSiteBlockedMask:
+    def test_matches_per_site_queries_on_every_suite_design(self):
+        """The array-built mask equals the per-site rectangle test.
+
+        Covers every suite design, every cell type, and both flip states
+        (rows 0 and 1 differ in parity).
+        """
+        blocked_sites = 0
+        for case in iccad2017_suite(0.002) + ispd2015_suite(0.002):
+            design = generate_design(case.spec)
+            guard = RoutabilityGuard(design)
+            for cell_type in design.technology.cell_types:
+                for row in (0, 1):
+                    mask = guard.site_blocked_mask(cell_type, row)
+                    expected = [
+                        pin_under_stripe(design, guard, cell_type, row, x)
+                        for x in range(design.num_sites + 1)
+                    ]
+                    assert mask is not None
+                    assert mask.tolist() == expected, (case.name, cell_type.name, row)
+                    assert [
+                        guard.x_blocked(cell_type, row, x)
+                        for x in range(design.num_sites + 1)
+                    ] == expected
+                    blocked_sites += sum(expected)
+        assert blocked_sites > 0  # The suites do put pins under stripes.
+
+    def test_matches_per_site_queries_on_fixture(self, guarded):
+        design, guard = guarded
+        for cell_type in design.technology.cell_types:
+            for row in range(design.num_rows):
+                mask = guard.site_blocked_mask(cell_type, row)
+                assert mask is not None
+                assert mask.tolist() == [
+                    pin_under_stripe(design, guard, cell_type, row, x)
+                    for x in range(design.num_sites + 1)
+                ]
+
+    def test_partial_height_stripes_stay_per_site(self, guarded):
+        design, _ = guarded
+        design.rails.add_rail(
+            Rail(3, VERTICAL, offset=0.5, pitch=3.0, width=0.1,
+                 span=Interval(0, 8), extent=Interval(0, 4))
+        )
+        guard = RoutabilityGuard(design)
+        p = design.technology.type_named("P")
+        assert guard.site_blocked_mask(p, 0) is None
+        for row in range(design.num_rows):
+            for x in range(design.num_sites + 1):
+                assert guard.x_blocked(p, row, x) == pin_under_stripe(
+                    design, guard, p, row, x
+                )
