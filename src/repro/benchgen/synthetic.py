@@ -70,6 +70,18 @@ class SyntheticSpec:
     num_macros: int = 0
     multi_rect_fences: bool = False
 
+    def __post_init__(self) -> None:
+        # A fill above 1 cannot be legalized: the generator would write a
+        # design whose cells do not fit, and legalization would only
+        # fail much later with an over-full fence.
+        for field_name in ("density", "fence_utilization"):
+            value = getattr(self, field_name)
+            if not 0.0 < value <= 1.0:
+                raise ValueError(
+                    f"SyntheticSpec.{field_name} must be in (0, 1], "
+                    f"got {value!r}"
+                )
+
     def total_cells(self) -> int:
         return sum(self.cells_by_height.values())
 

@@ -103,14 +103,16 @@ class LegalizerParams:
             identical with or without the cache.
         eval_backend: insertion-evaluation backend.  ``"vector"`` (the
             default) routes ``InsertionContext.evaluate`` through the
-            structure-of-arrays fast path (repro.core.soa): per-run
-            prefix-sum push analysis, vectorized lower bounds, and
-            batched CurveSet/guard probes.  ``"scalar"`` keeps the
-            original per-candidate walk and is the oracle: both
-            backends produce bit-identical placements and identical
+            structure-of-arrays fast path (repro.core.soa): array gap
+            enumeration, vectorized lower bounds, flat curve assembly,
+            and batched guard probes.  ``"scalar"`` keeps per-cell
+            curve objects and the per-probe guard walk, and is the
+            oracle for those stages: both backends produce
+            bit-identical placements and identical
             ``insertions_evaluated`` counts (property-tested in
             tests/test_soa_equivalence.py), exactly like the
-            ``candidate_order`` contract.
+            ``candidate_order`` contract.  Push analysis is the same
+            memoized kernel on both (``InsertionContext.push_sides``).
     """
 
     window_width: int = 40

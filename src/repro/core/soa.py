@@ -1,35 +1,29 @@
 """Structure-of-arrays mirror of the MGL insertion hot path.
 
-The scalar evaluation in :mod:`repro.core.insertion` walks Python
-objects per candidate: a BFS over neighbor queries, per-cell dict
-updates, and per-cell wall checks.  For the dominant candidate shape —
-a height-1 target inserted into a run of height-1 local cells — the
-whole push analysis collapses into integer prefix sums over the run:
+``eval_backend=vector`` routes the per-candidate stages of
+:mod:`repro.core.insertion` whose scalar forms walk Python objects
+through array code here.  The vector backend owns:
 
-* Let the run be ``c_0 .. c_{n-1}`` (x-sorted local cells between two
-  walls) and ``t_k = w(c_k) + edge_gap(c_k, c_{k+1})`` the mandatory
-  pitch between neighbors.  With ``Q[j] = sum(t[:j])``:
+* gap enumeration (:meth:`VectorEvaluator.gaps_in_segment`): runs,
+  walls and the rough lo/hi bounds of a segment from ``searchsorted``
+  slices and integer prefix sums over run pitches;
+* the best-first heap's candidate lower bounds
+  (:meth:`VectorEvaluator.lower_bound`), one array pass per row;
+* curve assembly (:meth:`VectorEvaluator._finish_fast`): the summed
+  displacement curve built directly from the push offsets, without
+  per-cell curve objects;
+* the batched routability-guard walk, via
+  :meth:`repro.core.refine.RoutabilityGuard.adjust_x_vector` on the
+  compiled curve set.
 
-  - pushing right from gap ``gi`` (target left of ``c_gi``) gives chain
-    offsets ``offset(c_j) = w_t + eg(target, c_gi) + Q[j] - Q[gi]`` for
-    ``j >= gi`` — exactly the longest-path offsets of the scalar BFS,
-    because the push DAG of a single-row run is the chain itself;
-  - the extreme (wall-limited) positions are gap-independent:
-    ``ext_r[k] = wall_base_r - w(c_{n-1}) - sum(t[k:])`` and
-    ``ext_l[k] = wall_base_l + Q[k]``, with the wall bases computed by
-    the same cross-boundary edge rules the scalar walk applies;
-  - feasibility of a push from ``gi`` is a suffix/prefix minimum of
-    ``ext - x`` — precomputed once per run, O(1) per candidate.
-
-Every quantity is integer arithmetic, so the results are bit-identical
-to the scalar walk regardless of evaluation order; the scalar path's
-``1e-9`` wall tolerance is exact on integers (``ext < x - 1e-9`` iff
-``ext < x``).  Candidates outside the fast shape (multi-row targets,
-runs containing multi-row or out-of-segment cells) fall back to the
-scalar evaluator, keeping the two backends' outputs — placements *and*
-``insertions_evaluated`` counts — provably equal; the property is
-enforced by tests/test_soa_equivalence.py with ``eval_backend=scalar``
-as the oracle.
+Push analysis is not here: both backends call the context's memoized
+kernel (:meth:`InsertionContext.push_sides`), which handles multi-row
+cells in the same code path.  Every stage above replays the scalar
+operation sequence (integer arithmetic where the scalar code is
+integral, the same fold order where it is float), so the two backends
+are candidate-for-candidate identical — placements *and*
+``insertions_evaluated`` counts — with ``eval_backend=scalar`` as the
+oracle (tests/test_soa_equivalence.py).
 
 Synchronization: :class:`SoAState` snapshots occupancy rows through the
 public :meth:`Occupancy.row_positions` / :meth:`Occupancy.row_cells`
@@ -65,15 +59,6 @@ RowSnapshot = Tuple[
     npt.NDArray[np.int64],
     npt.NDArray[np.int64],
 ]
-
-#: Push-analysis product of one gap, mirroring the scalar
-#: ``_push_side`` outputs: (right offsets, right limit, left offsets,
-#: left limit).  Offsets map pushed cell -> chain offset from the
-#: target; the dicts preserve the scalar insertion order (right side
-#: outward-ascending, left side outward-descending) because the curve
-#: summation downstream is float and order-sensitive.
-Sides = Tuple[Dict[int, int], int, Dict[int, int], int]
-
 
 class _RowCaches(threading.local):
     """Thread-local row snapshot store (one dict per thread)."""
@@ -133,11 +118,6 @@ class SoAState:
             for j, right in enumerate(types):
                 matrix[i, j] = table.spacing(left.right_edge, right.left_edge)
         self.edge_gap_matrix: npt.NDArray[np.int64] = matrix
-        # Plain nested-list twins for the Python-level hot loops (list
-        # indexing beats array scalar indexing there).
-        self.edge_gap_lists: List[List[int]] = matrix.tolist()
-        self.type_code_list: List[int] = code_list
-        self.fixed_list: List[bool] = self.fixed.tolist()
         self._rows = _RowCaches()
 
     def row_arrays(
@@ -167,83 +147,23 @@ class SoAState:
         return entry[1], entry[2], entry[3]
 
 
-class _Run:
-    """Precomputed push tables of one wall-separated run of local cells.
-
-    All members are plain Python lists/ints (converted from the int64
-    arrays they were computed with) so per-candidate lookups stay cheap
-    and the values flowing into curves/moves are exact Python ints, the
-    same types the scalar path produces.
-    """
-
-    __slots__ = (
-        "n", "cells", "ws", "q", "egt_right", "egt_left",
-        "ext_r", "ext_l", "feas_r", "feas_l",
-    )
-
-    def __init__(
-        self,
-        n: int,
-        cells: List[int],
-        ws: List[int],
-        q: List[int],
-        egt_right: List[int],
-        egt_left: List[int],
-        ext_r: List[int],
-        ext_l: List[int],
-        feas_r: List[bool],
-        feas_l: List[bool],
-    ):
-        self.n = n
-        self.cells = cells
-        self.ws = ws
-        self.q = q
-        self.egt_right = egt_right
-        self.egt_left = egt_left
-        self.ext_r = ext_r
-        self.ext_l = ext_l
-        self.feas_r = feas_r
-        self.feas_l = feas_l
-
-
-class _SegTable:
-    """Run tables of one (row, segment), plus cell -> (run, index) map.
-
-    A ``None`` entry in ``runs`` marks an ineligible run (it contains a
-    multi-row or out-of-segment local cell, so its push graph is not the
-    chain); gaps bordered by its cells take the generic push path, while
-    gaps in the segment's other runs stay on the O(1) tables.
-    """
-
-    __slots__ = ("runs", "pos")
-
-    def __init__(
-        self, runs: List[Optional[_Run]], pos: Dict[int, Tuple[int, int]]
-    ):
-        self.runs = runs
-        self.pos = pos
-
-
 class VectorEvaluator:
     """Per-context vectorized evaluation over one :class:`SoAState`.
 
-    Owns two lazy caches, both valid for the context's lifetime (the
-    occupancy is frozen while a context exists):
-
-    * per-(row, segment) run tables for the O(1) fast-path push
-      analysis (:meth:`evaluate`);
-    * per-row vectorized lower-bound tables feeding the best-first
-      heap's prefilter (:meth:`lower_bound`), keyed by gap identity —
-      gap lists are memoized on the context, so identities are stable.
+    Owns one lazy cache, valid for the context's lifetime (the
+    occupancy is frozen while a context exists): per-row vectorized
+    lower-bound tables feeding the best-first heap's prefilter
+    (:meth:`lower_bound`), keyed by gap identity — gap lists are
+    memoized on the context, so identities are stable.  Push analysis
+    is not here: both backends share the context's memoized kernel
+    (:meth:`InsertionContext.push_sides`).
     """
 
     def __init__(self, context: "InsertionContext", soa: SoAState):
         self.context = context
         self.soa = soa
-        self._segments: Dict[Tuple[int, int], _SegTable] = {}
         self._bounds: Dict[int, Dict[int, float]] = {}
         self._width_t = context.target_type.width
-        self._multi_row = context.target_type.height != 1
         self._target_code = soa.type_code_of[context.target_type.name]
         # Constants of the curve assembly; the expressions mirror the
         # ones finish_evaluation computes per call, so the values (and
@@ -251,8 +171,6 @@ class VectorEvaluator:
         self._wt = context.weight_of(context.target)
         self._wt_x = context.weight_of(context.target) * context.x_unit
         self._use_gp = context.reference == "gp"
-        self._widths = soa.design.cell_widths
-        self._heights = soa.design.cell_heights
         from repro.core.insertion import Gap
 
         self._gap_cls = Gap
@@ -321,225 +239,18 @@ class VectorEvaluator:
     ) -> Optional["EvaluatedInsertion"]:
         """Exact evaluation of one candidate on the array backend.
 
-        The push analysis comes from the O(1) run tables when the
-        candidate fits the fast shape and from the scalar transitive
-        walk otherwise (same offsets, same limits either way); every
-        candidate then finishes through :meth:`_finish_fast`, which
-        assembles the summed displacement curve directly instead of
-        materializing per-cell curve objects.  ``cutoff`` is the
-        incumbent cost of :meth:`InsertionContext.evaluate`.
+        The push analysis is the context's shared memoized kernel
+        (:meth:`InsertionContext.push_sides`), the same call the scalar
+        evaluator makes; the candidate then finishes through
+        :meth:`_finish_fast`, which assembles the summed displacement
+        curve directly instead of materializing per-cell curve objects.
+        ``cutoff`` is the incumbent cost of
+        :meth:`InsertionContext.evaluate`.
         """
-        context = self.context
-        sides: Optional[Sides] = None
-        if not self._multi_row and len(gaps) == 1:
-            handled, fast_sides = self._sides(gaps[0])
-            if handled:
-                if fast_sides is None:
-                    return None  # Infeasible, where the scalar walk bails.
-                sides = fast_sides
+        sides = self.context.push_sides(gaps)
         if sides is None:
-            right_info = self._push_fast(gaps, +1)
-            if right_info is None:
-                return None
-            left_info = self._push_fast(gaps, -1)
-            if left_info is None:
-                return None
-            right_offsets, right_limit = right_info
-            left_offsets, left_limit = left_info
-            if set(right_offsets) & set(left_offsets):
-                return None  # A cell would be pushed both ways.
-            sides = (right_offsets, right_limit, left_offsets, left_limit)
+            return None
         return self._finish_fast(bottom_row, gaps, *sides, cutoff)
-
-    def _push_fast(
-        self, gaps: Sequence["Gap"], side: int
-    ) -> Optional[Tuple[Dict[int, int], int]]:
-        """Flat-data mirror of :meth:`InsertionContext._push_side`.
-
-        Runs the identical BFS / chain-offset / extremes / limit passes
-        — every quantity is the same Python int the scalar walk produces
-        (edge gaps come from the type-code matrix, which tabulates the
-        same spacing-table lookups ``edge_gap`` performs) — but through
-        plain list indexing instead of method and dict-cache calls.  The
-        offsets dict is built by the same assignment sequence, so its
-        insertion order (part of the float-summation contract downstream)
-        matches the scalar dict exactly.  Shares the context's neighbor
-        and locality caches, which are populated with identical values.
-        """
-        context = self.context
-        soa = self.soa
-        occupancy = context.occupancy
-        placement = occupancy.placement
-        px = placement.x
-        py = placement.y
-        widths = self._widths
-        heights = self._heights
-        fixed = soa.fixed_list
-        codes = soa.type_code_list
-        egm = soa.edge_gap_lists
-        tcode = self._target_code
-        width_t = self._width_t
-        window = context.window
-        wxlo = window.xlo
-        wxhi = window.xhi
-        wylo = window.ylo
-        wyhi = window.yhi
-        local_cache = context._local_cache
-        ncache = context._neighbor_cache
-        seg_neighbors = context._segment_neighbors
-
-        # 1. Push set by BFS through local, same-segment neighbors.
-        seeds = [
-            (gap.right_cell if side > 0 else gap.left_cell) for gap in gaps
-        ]
-        push_set = set(c for c in seeds if c is not None)
-        frontier = list(push_set)
-        while frontier:
-            cell = frontier.pop()
-            key = (cell, side)
-            nb = ncache.get(key)
-            if nb is None:
-                nb = seg_neighbors(cell, side)
-                ncache[key] = nb
-            for _row, neighbor, _segment in nb:
-                if neighbor is None or neighbor in push_set:
-                    continue
-                loc = local_cache.get(neighbor)
-                if loc is None:
-                    if fixed[neighbor]:
-                        loc = False
-                    else:
-                        nx = px[neighbor]
-                        ny = py[neighbor]
-                        loc = (
-                            wxlo <= nx
-                            and nx + widths[neighbor] <= wxhi
-                            and wylo <= ny
-                            and ny + heights[neighbor] <= wyhi
-                        )
-                    local_cache[neighbor] = loc
-                if not loc:
-                    continue
-                push_set.add(neighbor)
-                frontier.append(neighbor)
-
-        ordered = sorted(push_set, key=lambda c: (px[c], c))
-        if side < 0:
-            ordered.reverse()  # Process outward from the target.
-
-        # 2. Chain offsets (longest paths from the target).
-        offsets: Dict[int, int] = {}
-        for gap in gaps:
-            seed = gap.right_cell if side > 0 else gap.left_cell
-            if seed is None:
-                continue
-            if side > 0:
-                off = width_t + egm[tcode][codes[seed]]
-            else:
-                off = widths[seed] + egm[codes[seed]][tcode]
-            prev = offsets.get(seed, 0)
-            offsets[seed] = off if off > prev else prev
-        for cell in ordered:
-            base = offsets.get(cell)
-            if base is None:
-                offsets[cell] = base = 0
-            ccode = codes[cell]
-            w_c = widths[cell]
-            for _row, neighbor, _segment in ncache[(cell, side)]:
-                if neighbor is None or neighbor not in push_set:
-                    continue
-                if side > 0:
-                    step = w_c + egm[ccode][codes[neighbor]]
-                else:
-                    step = widths[neighbor] + egm[codes[neighbor]][ccode]
-                cand = base + step
-                if cand > offsets.get(neighbor, 0):
-                    offsets[neighbor] = cand
-
-        # 3. Extreme positions against walls (processed inward).
-        extreme: Dict[int, int] = {}
-        for cell in reversed(ordered):
-            w_c = widths[cell]
-            ccode = codes[cell]
-            best: Optional[int] = None
-            for row, neighbor, segment in ncache[(cell, side)]:
-                if segment is None:
-                    return None
-                if side > 0:
-                    if neighbor is not None and neighbor in push_set:
-                        b = extreme[neighbor] - egm[ccode][codes[neighbor]] - w_c
-                    elif neighbor is not None:
-                        b = px[neighbor] - egm[ccode][codes[neighbor]] - w_c
-                    else:
-                        limit = segment.x_hi
-                        outside = occupancy.right_neighbor(row, segment.x_hi)
-                        if outside is not None:
-                            lim2 = px[outside] - egm[ccode][codes[outside]]
-                            if lim2 < limit:
-                                limit = lim2
-                        b = limit - w_c
-                    if best is None or b < best:
-                        best = b
-                else:
-                    if neighbor is not None and neighbor in push_set:
-                        b = (
-                            extreme[neighbor]
-                            + widths[neighbor]
-                            + egm[codes[neighbor]][ccode]
-                        )
-                    elif neighbor is not None:
-                        b = (
-                            px[neighbor]
-                            + widths[neighbor]
-                            + egm[codes[neighbor]][ccode]
-                        )
-                    else:
-                        limit = segment.x_lo
-                        outside = occupancy.left_neighbor(row, segment.x_lo)
-                        if outside is not None:
-                            lim2 = (
-                                px[outside]
-                                + widths[outside]
-                                + egm[codes[outside]][ccode]
-                            )
-                            if lim2 > limit:
-                                limit = lim2
-                        b = limit
-                    if best is None or b > best:
-                        best = b
-            assert best is not None
-            extreme[cell] = best
-            if side > 0:
-                if best < px[cell] - 1e-9:
-                    return None  # Already violates: cannot even stay put.
-            elif best > px[cell] + 1e-9:
-                return None
-
-        # 4. The target's limit.
-        limit_val: Optional[int] = None
-        for gap in gaps:
-            if side > 0:
-                rc = gap.right_cell
-                if rc is not None:
-                    v = extreme[rc] - egm[tcode][codes[rc]] - width_t
-                else:
-                    rw = gap.right_wall_cell
-                    wall_gap = egm[tcode][codes[rw]] if rw is not None else 0
-                    v = gap.right_bound - wall_gap - width_t
-                if limit_val is None or v < limit_val:
-                    limit_val = v
-            else:
-                lc = gap.left_cell
-                if lc is not None:
-                    v = extreme[lc] + widths[lc] + egm[codes[lc]][tcode]
-                else:
-                    lw = gap.left_wall_cell
-                    wall_gap = egm[codes[lw]][tcode] if lw is not None else 0
-                    v = gap.left_bound + wall_gap
-                if limit_val is None or v > limit_val:
-                    limit_val = v
-        assert limit_val is not None
-        return offsets, limit_val
 
     def _finish_fast(
         self,
@@ -876,227 +587,3 @@ class VectorEvaluator:
                     lo_rough=lo_v, hi_rough=hi_v,
                 ))
             left_c = right_c
-
-    def _sides(self, gap: "Gap") -> Tuple[bool, Optional[Sides]]:
-        """Push analysis of one single-row gap.
-
-        Returns ``(handled, sides)``: ``handled=False`` means the run
-        violates a fast-path precondition and the caller must use the
-        scalar evaluator; ``sides=None`` (with ``handled=True``) means
-        the candidate is infeasible — a push does not fit.
-        """
-        context = self.context
-        key = (gap.row, gap.segment.x_lo)
-        if key in self._segments:
-            table = self._segments[key]
-        else:
-            table = self._build_segment(gap.row, gap.segment)
-            self._segments[key] = table
-        width_t = self._width_t
-
-        if gap.right_cell is not None:
-            run_index, gi = table.pos[gap.right_cell]
-        elif gap.left_cell is not None:
-            run_index, gi = table.pos[gap.left_cell]
-            gi += 1
-        else:
-            # Empty run: both sides are walls, no pushes at all.
-            right_gap = (
-                context.edge_gap(-1, gap.right_wall_cell)
-                if gap.right_wall_cell is not None
-                else 0
-            )
-            left_gap = (
-                context.edge_gap(gap.left_wall_cell, -1)
-                if gap.left_wall_cell is not None
-                else 0
-            )
-            return True, (
-                {},
-                gap.right_bound - right_gap - width_t,
-                {},
-                gap.left_bound + left_gap,
-            )
-
-        run = table.runs[run_index]
-        if run is None:
-            return False, None
-        n = run.n
-        cells = run.cells
-        q = run.q
-
-        if gi < n:
-            if not run.feas_r[gi]:
-                return True, None
-            base = width_t + run.egt_right[gi]
-            q_gi = q[gi]
-            right_offsets = {
-                cells[j]: base + q[j] - q_gi for j in range(gi, n)
-            }
-            right_limit = run.ext_r[gi] - run.egt_right[gi] - width_t
-        else:
-            wall_gap = (
-                context.edge_gap(-1, gap.right_wall_cell)
-                if gap.right_wall_cell is not None
-                else 0
-            )
-            right_offsets = {}
-            right_limit = gap.right_bound - wall_gap - width_t
-
-        if gi > 0:
-            k = gi - 1
-            if not run.feas_l[k]:
-                return True, None
-            base = run.ws[k] + run.egt_left[k]
-            q_k = q[k]
-            left_offsets = {
-                cells[j]: base + q_k - q[j] for j in range(k, -1, -1)
-            }
-            left_limit = run.ext_l[k] + run.ws[k] + run.egt_left[k]
-        else:
-            wall_gap = (
-                context.edge_gap(gap.left_wall_cell, -1)
-                if gap.left_wall_cell is not None
-                else 0
-            )
-            left_offsets = {}
-            left_limit = gap.left_bound + wall_gap
-
-        return True, (right_offsets, right_limit, left_offsets, left_limit)
-
-    # ------------------------------------------------------------------
-
-    def _build_segment(self, row: int, segment: Segment) -> _SegTable:
-        """Run tables of one segment; ineligible runs are ``None``.
-
-        Precondition for a run's fast path: every local cell in it is
-        height 1 and lies entirely inside the segment, so its push DAG
-        is the run chain and its only wall is the run boundary.  Walls
-        (non-local cells) may be any shape, and a violating run only
-        disqualifies itself — push never crosses a wall, so the other
-        runs in the segment keep their tables.
-        """
-        soa = self.soa
-        xs, cells, ys = self._cells_slice(row, segment)
-        widths = soa.widths[cells]
-        heights = soa.heights[cells]
-        local = self._local_mask(xs, cells, ys, widths)
-        bad = local & (
-            (heights != 1) | (xs < segment.x_lo) | (xs + widths > segment.x_hi)
-        )
-
-        cells_list: List[int] = cells.tolist()
-        local_list: List[bool] = local.tolist()
-        bad_list: List[bool] = bad.tolist()
-        runs: List[Optional[_Run]] = []
-        pos: Dict[int, Tuple[int, int]] = {}
-        index = 0
-        total = len(cells_list)
-        prev_wall: Optional[int] = None
-        while index < total:
-            if not local_list[index]:
-                prev_wall = cells_list[index]
-                index += 1
-                continue
-            start = index
-            while index < total and local_list[index]:
-                index += 1
-            next_wall = cells_list[index] if index < total else None
-            if any(bad_list[start:index]):
-                run: Optional[_Run] = None
-            else:
-                run = self._build_run(
-                    row, segment,
-                    cells[start:index], xs[start:index],
-                    prev_wall, next_wall,
-                )
-            run_index = len(runs)
-            runs.append(run)
-            for offset, cell in enumerate(cells_list[start:index]):
-                pos[cell] = (run_index, offset)
-        return _SegTable(runs=runs, pos=pos)
-
-    def _build_run(
-        self,
-        row: int,
-        segment: Segment,
-        cells: npt.NDArray[np.int64],
-        xs: npt.NDArray[np.int64],
-        lwall: Optional[int],
-        rwall: Optional[int],
-    ) -> _Run:
-        """Prefix sums, extremes and feasibility of one run (all ints)."""
-        context = self.context
-        soa = self.soa
-        placement = context.occupancy.placement
-        matrix = soa.edge_gap_matrix
-        codes = soa.type_codes[cells]
-        widths = soa.widths[cells]
-        n = len(cells)
-        tcode = self._target_code
-        egt_right = matrix[tcode, codes]  # eg(target, c_k)
-        egt_left = matrix[codes, tcode]   # eg(c_k, target)
-
-        # Pitches t_k between run neighbors and their prefix sums Q.
-        if n > 1:
-            pitch = widths[:-1] + matrix[codes[:-1], codes[1:]]
-        else:
-            pitch = np.zeros(0, dtype=np.int64)
-        q = np.zeros(n, dtype=np.int64)
-        np.cumsum(pitch, out=q[1:])
-
-        # Right wall base: the extreme of the last cell plus its width.
-        # Identical to the scalar walk's wall branch, including the
-        # cross-boundary edge rule when the run ends at the segment.
-        last = int(cells[-1])
-        if rwall is not None:
-            wall_base_r = placement.x[rwall] - context.edge_gap(last, rwall)
-        else:
-            limit = segment.x_hi
-            outside = context.occupancy.right_neighbor(row, segment.x_hi)
-            if outside is not None:
-                limit = min(
-                    limit,
-                    placement.x[outside] - context.edge_gap(last, outside),
-                )
-            wall_base_r = limit
-        # suffix[k] = sum(pitch[k:]); ext_r walks inward from the wall.
-        suffix = np.concatenate(
-            [np.cumsum(pitch[::-1])[::-1], np.zeros(1, dtype=np.int64)]
-        )
-        ext_r = (wall_base_r - int(widths[-1])) - suffix
-        feas_r = np.minimum.accumulate((ext_r - xs)[::-1])[::-1] >= 0
-
-        first = int(cells[0])
-        if lwall is not None:
-            wall_base_l = (
-                placement.x[lwall]
-                + context.cell_width(lwall)
-                + context.edge_gap(lwall, first)
-            )
-        else:
-            limit = segment.x_lo
-            outside = context.occupancy.left_neighbor(row, segment.x_lo)
-            if outside is not None:
-                outside_end = (
-                    placement.x[outside] + context.cell_width(outside)
-                )
-                limit = max(
-                    limit, outside_end + context.edge_gap(outside, first)
-                )
-            wall_base_l = limit
-        ext_l = wall_base_l + q
-        feas_l = np.minimum.accumulate(xs - ext_l) >= 0
-
-        return _Run(
-            n=n,
-            cells=cells.tolist(),
-            ws=widths.tolist(),
-            q=q.tolist(),
-            egt_right=egt_right.tolist(),
-            egt_left=egt_left.tolist(),
-            ext_r=ext_r.tolist(),
-            ext_l=ext_l.tolist(),
-            feas_r=feas_r.tolist(),
-            feas_l=feas_l.tolist(),
-        )

@@ -87,6 +87,17 @@ class TestGenerateDesign:
         design = generate_design(small_spec(num_fences=2, with_rails=True))
         design.validate()  # must not raise
 
+    @pytest.mark.parametrize("field", ["density", "fence_utilization"])
+    @pytest.mark.parametrize("value", [0.0, -0.2, 1.3, float("nan")])
+    def test_rejects_fill_outside_unit_interval(self, field, value):
+        with pytest.raises(ValueError, match=field) as error:
+            small_spec(**{field: value})
+        assert repr(value) in str(error.value)
+
+    def test_accepts_full_fill(self):
+        spec = small_spec(density=1.0, fence_utilization=1.0)
+        assert spec.density == 1.0
+
     def test_gp_positions_inside_chip(self):
         design = generate_design(small_spec())
         for cell in range(design.num_cells):

@@ -1,11 +1,16 @@
 """Bit-equality of the vectorized (SoA) backend against the scalar oracle.
 
-``eval_backend=vector`` routes gap enumeration, push analysis, curve
-assembly, and the guard walk through :mod:`repro.core.soa`'s
-structure-of-arrays fast paths.  The scalar backend stays in the tree as
-the oracle, and the whole optimization is only legitimate while the two
-are *bit-identical* — same placements, same ``insertions_evaluated``
-counts, candidate for candidate.  These tests pin that contract:
+``eval_backend=vector`` routes gap enumeration, curve assembly, the
+candidate lower bound, and the guard walk through
+:mod:`repro.core.soa`'s structure-of-arrays fast paths.  The scalar
+backend stays in the tree as the oracle, and the whole optimization is
+only legitimate while the two are *bit-identical* — same placements,
+same ``insertions_evaluated`` counts, candidate for candidate.  Push
+analysis is outside this comparison: both backends call the same
+memoized kernel (:meth:`InsertionContext.push_sides`), so a push bug
+would show on both sides alike; tests/test_push_kernel.py checks that
+kernel against the per-candidate reference walk instead.  These tests
+pin the contract:
 
 * an end-to-end Hypothesis property over random mixed-height designs
   with fences and placement blockages, with routability on and off;
