@@ -25,18 +25,7 @@ informational by default (it depends on the host's core count; this is
 ~1x on a single-core box) — pass ``--require-speedup X`` to enforce a
 floor on capable machines.
 
-A **scalar-vs-vector** section runs the big (``>=2k`` cells) scale with
-``eval_backend=scalar`` and ``eval_backend=vector``: the placements and
-``insertions_evaluated`` counts must be bit-identical (fatal when not),
-and the report records both throughputs plus the ratio.  A second pair
-stacks the vector backend on the process-pool scheduler at batch
-capacity, against a scalar serial run at the same capacity — the
-combined ratio is what multicore hosts see.  Like the worker speedup,
-both ratios are informational by default (the serial ratio is
-host-independent but modest; the stacked ratio scales with cores) —
-``--require-backend-speedup X`` enforces a floor on the stacked ratio.
-
-A **tracing-overhead** section legalizes the backend-scale case
+A **tracing-overhead** section legalizes a ``>=2k``-cell case
 untraced and traced at ``sample_every=16`` with a live progress emitter
 attached (best of two each): the placements must be bit-identical
 (fatal) and the wall overhead is recorded for the
@@ -70,18 +59,16 @@ from repro.perf import PerfRecorder
 SCALES = [0.004, 0.01, 0.02]
 QUICK_SCALE = 0.004
 QUICK_CASES = ["des_perf_b_md2", "fft_a_md2", "pci_bridge32_b_md3"]
-# Scalar-vs-vector comparison case: >=2k cells (5634 at this scale).
-BACKEND_SCALE = 0.05
-BACKEND_CASE = "des_perf_b_md2"
 # Sharded-legalization case: >=20k cells (the CI scale-tier gate).
 SHARD_SCALE = 0.2
 SHARD_CASE = "des_perf_b_md2"
 SHARD_COUNT = 4
 SHARD_HALO_ROWS = 2
 # Tracing-overhead case: the sampling stride the <5% budget is quoted
-# at, measured on the backend scale (big enough for stable wall times).
-OVERHEAD_SCALE = BACKEND_SCALE
-OVERHEAD_CASE = BACKEND_CASE
+# at, measured on >=2k cells (5634 at this scale; big enough for stable
+# wall times).
+OVERHEAD_SCALE = 0.05
+OVERHEAD_CASE = "des_perf_b_md2"
 OVERHEAD_SAMPLE_EVERY = 16
 
 RunRecord = Dict[str, Union[str, int, float]]
@@ -125,7 +112,6 @@ def run_mgl(
         "gap_cache_hit_rate": round(hits / lookups, 4) if lookups else 0.0,
         "candidate_order": params.candidate_order,
         "scheduler_capacity": params.scheduler_capacity,
-        "eval_backend": params.eval_backend,
         "placement_hash": placement_hash(placement),
     }
 
@@ -162,73 +148,6 @@ def run_parallel_section(
         "serial_hash": serial["placement_hash"],
         "parallel_hash": parallel["placement_hash"],
         "hashes_match": serial["placement_hash"] == parallel["placement_hash"],
-    }
-
-
-def run_backend_section(
-    name: str, scale: float, workers: int, capacity: int
-) -> Dict[str, Union[str, int, float, bool]]:
-    """Scalar-vs-vector equivalence and throughput on the big scale.
-
-    The scalar backend is the oracle: the vector backend must reproduce
-    its placement *and* its ``insertions_evaluated`` count bit-exactly
-    (both are fatal gates in ``main``).  Two comparisons are recorded:
-
-    * serial: backend is the only variable (capacity 1, no workers) —
-      ``vector_vs_scalar`` is the host-independent vectorization gain;
-    * stacked: vector backend + process pool at ``capacity`` against a
-      scalar serial run at the same capacity — ``stacked_vs_scalar`` is
-      the combined gain and grows with the host's core count.
-    """
-    scalar = run_mgl(name, scale, LegalizerParams(eval_backend="scalar"))
-    vector = run_mgl(name, scale, LegalizerParams(eval_backend="vector"))
-    scalar_cap = run_mgl(
-        name,
-        scale,
-        LegalizerParams(eval_backend="scalar", scheduler_capacity=capacity),
-    )
-    stacked = run_mgl(
-        name,
-        scale,
-        LegalizerParams(
-            eval_backend="vector",
-            scheduler_capacity=capacity,
-            scheduler_workers=workers,
-        ),
-    )
-    return {
-        "name": name,
-        "scale": scale,
-        "cells": scalar["cells"],
-        "capacity": capacity,
-        "workers": workers,
-        "cpu_count": os.cpu_count() or 1,
-        "scalar_seconds": scalar["seconds"],
-        "vector_seconds": vector["seconds"],
-        "scalar_cells_per_sec": scalar["cells_per_sec"],
-        "vector_cells_per_sec": vector["cells_per_sec"],
-        "vector_vs_scalar": round(
-            float(scalar["seconds"]) / max(float(vector["seconds"]), 1e-9), 3
-        ),
-        "stacked_seconds": stacked["seconds"],
-        "stacked_cells_per_sec": stacked["cells_per_sec"],
-        "stacked_vs_scalar": round(
-            float(scalar_cap["seconds"])
-            / max(float(stacked["seconds"]), 1e-9),
-            3,
-        ),
-        "scalar_hash": scalar["placement_hash"],
-        "vector_hash": vector["placement_hash"],
-        "hashes_match": (
-            scalar["placement_hash"] == vector["placement_hash"]
-        ),
-        "evals_match": (
-            scalar["insertions_evaluated"] == vector["insertions_evaluated"]
-        ),
-        "stacked_hashes_match": (
-            scalar_cap["placement_hash"] == stacked["placement_hash"]
-        ),
-        "insertions_evaluated": scalar["insertions_evaluated"],
     }
 
 
@@ -552,13 +471,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "speedup (use on machines with enough cores)")
     parser.add_argument("--no-parallel-section", action="store_true",
                         help="skip the serial-vs-workers comparison")
-    parser.add_argument("--no-backend-section", action="store_true",
-                        help="skip the scalar-vs-vector comparison")
-    parser.add_argument("--require-backend-speedup", type=float, default=None,
-                        metavar="X",
-                        help="fail unless the stacked (vector + workers) "
-                             "configuration reaches X speedup over scalar "
-                             "serial (use on machines with enough cores)")
     parser.add_argument("--no-sharded-section", action="store_true",
                         help="skip the sharded-legalization comparison")
     parser.add_argument("--sharded-case", default=None,
@@ -668,58 +580,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{parallel_section['name']}: speedup "
                 f"{parallel_section['speedup']}x below the required "
                 f"{args.require_speedup}x"
-            )
-            print(f"PERF FAILURE: {failures[-1]}", file=sys.stderr)
-
-    backend_section: Optional[Dict[str, Union[str, int, float, bool]]] = None
-    if not args.no_backend_section:
-        workers = args.workers or (2 if args.quick else 4)
-        capacity = args.parallel_capacity or (8 if args.quick else 32)
-        backend_name = QUICK_CASES[0] if args.quick else BACKEND_CASE
-        backend_scale = QUICK_SCALE if args.quick else BACKEND_SCALE
-        backend_section = run_backend_section(
-            backend_name, backend_scale, workers, capacity
-        )
-        print(
-            f"backend: {backend_section['name']} scale={backend_scale} "
-            f"cells={backend_section['cells']}  "
-            f"scalar {backend_section['scalar_seconds']}s vs vector "
-            f"{backend_section['vector_seconds']}s  "
-            f"serial {backend_section['vector_vs_scalar']}x, stacked "
-            f"{backend_section['stacked_vs_scalar']}x "
-            f"(cap={capacity} workers={workers} on "
-            f"{backend_section['cpu_count']} cpus)  "
-            f"hashes_match={backend_section['hashes_match']} "
-            f"evals_match={backend_section['evals_match']}"
-        )
-        if not backend_section["hashes_match"]:
-            failures.append(
-                f"{backend_section['name']}: vector placement hash "
-                f"{backend_section['vector_hash']} diverged from scalar "
-                f"{backend_section['scalar_hash']}"
-            )
-            print(f"DETERMINISM FAILURE: {failures[-1]}", file=sys.stderr)
-        if not backend_section["evals_match"]:
-            failures.append(
-                f"{backend_section['name']}: vector insertions_evaluated "
-                f"diverged from scalar"
-            )
-            print(f"DETERMINISM FAILURE: {failures[-1]}", file=sys.stderr)
-        if not backend_section["stacked_hashes_match"]:
-            failures.append(
-                f"{backend_section['name']}: stacked (vector + workers) "
-                f"placement diverged from scalar at capacity {capacity}"
-            )
-            print(f"DETERMINISM FAILURE: {failures[-1]}", file=sys.stderr)
-        if (
-            args.require_backend_speedup is not None
-            and float(backend_section["stacked_vs_scalar"])
-            < args.require_backend_speedup
-        ):
-            failures.append(
-                f"{backend_section['name']}: stacked speedup "
-                f"{backend_section['stacked_vs_scalar']}x below the "
-                f"required {args.require_backend_speedup}x"
             )
             print(f"PERF FAILURE: {failures[-1]}", file=sys.stderr)
 
@@ -857,7 +717,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "scales": scales,
         "runs": report,
         "parallel": parallel_section,
-        "backend": backend_section,
         "trace_determinism": trace_section,
         "tracing_overhead": overhead_section,
         "sharded": sharded_section,

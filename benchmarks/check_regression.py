@@ -211,39 +211,6 @@ def check_parallel_section(fresh: Dict[str, object]) -> List[str]:
     return []
 
 
-def check_backend_section(fresh: Dict[str, object]) -> List[str]:
-    """The fresh report's scalar-vs-vector gates must hold.
-
-    The vector backend is only legitimate while it reproduces the scalar
-    oracle bit-exactly — same placement hash and same number of
-    insertion points evaluated — so either mismatch is fatal, as is a
-    diverged stacked (vector + workers) placement.
-    """
-    section = fresh.get("backend")
-    if section is None:
-        return []  # Section skipped (--no-backend-section) or old report.
-    if not isinstance(section, dict):
-        return ["malformed 'backend' section in the fresh report"]
-    failures = []
-    if not section.get("hashes_match", False):
-        failures.append(
-            f"{section.get('name')}: vector placement hash "
-            f"{section.get('vector_hash')} diverged from scalar "
-            f"{section.get('scalar_hash')}"
-        )
-    if not section.get("evals_match", False):
-        failures.append(
-            f"{section.get('name')}: vector insertions_evaluated diverged "
-            f"from scalar"
-        )
-    if not section.get("stacked_hashes_match", False):
-        failures.append(
-            f"{section.get('name')}: stacked (vector + workers) placement "
-            f"diverged from the scalar run at the same capacity"
-        )
-    return failures
-
-
 def check_trace_section(fresh: Dict[str, object]) -> List[str]:
     """The fresh report's trace-structure determinism gate must hold."""
     section = fresh.get("trace_determinism")
@@ -523,7 +490,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     failures = compare_hashes(baseline, fresh)
     failures += check_parallel_section(fresh)
-    failures += check_backend_section(fresh)
     failures += check_trace_section(fresh)
     failures += check_overhead_section(
         fresh, args.max_trace_overhead, args.min_seconds

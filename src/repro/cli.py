@@ -17,6 +17,11 @@ Computed results (scores, summaries, tables) go to stdout; diagnostics
 ("wrote X") go through :mod:`repro.obs.log` to stderr, tunable with the
 global ``--log-level`` / ``--log-format`` flags — so piping ``repro``
 output stays clean.
+
+Exit codes: 0 on success; 1 when ``check`` finds an illegal placement
+(or ``runs trend`` finds drift); 2 on a usage error such as a missing
+input file; 3 when a design cannot be legalized (e.g. an over-full
+fence).
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING, Tuple, cast
 
 from repro import LegalizerParams, legalize
 from repro.checker import check_legal, contest_score, count_routability_violations
+from repro.core.mgl import LegalizationError
 from repro.io import load_design, load_placement, save_design, save_placement
 from repro.obs.clock import monotonic
 from repro.obs.log import FORMATS, LEVELS, get_logger, setup_logging
@@ -76,11 +82,6 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
                              "boundary are re-legalized full-die")
     parser.add_argument("--height-weighted", action="store_true",
                         help="use Eq. 2 height weights during MGL")
-    parser.add_argument("--eval-backend", choices=("scalar", "vector"),
-                        default="vector",
-                        help="insertion evaluation backend (default vector; "
-                             "scalar is the reference oracle — placements "
-                             "are bit-identical either way)")
 
 
 def _params_from(args: argparse.Namespace) -> LegalizerParams:
@@ -101,7 +102,6 @@ def _params_from(args: argparse.Namespace) -> LegalizerParams:
         shards=shards,
         shard_halo_rows=getattr(args, "halo_rows", 2),
         height_weighted=args.height_weighted,
-        eval_backend=args.eval_backend,
     )
     if args.window:
         params.window_width, params.window_height = args.window
@@ -606,6 +606,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             log.error("%s: %s", error.filename, error.strerror)
         return 2
+    except LegalizationError as error:
+        # An infeasible design (e.g. an over-full fence) is neither a
+        # usage error (2) nor a failed check (1): one line, exit 3.
+        log.error("legalization failed: %s", error)
+        return 3
     except BrokenPipeError:
         # Downstream closed the pipe (`repro report … | head`); redirect
         # stdout to devnull so the interpreter's final flush stays quiet.

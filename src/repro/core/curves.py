@@ -362,10 +362,11 @@ class CurveSet:
     def from_total(cls, total: DisplacementCurve) -> "CurveSet":
         """Compile an already-summed curve, skipping :func:`sum_curves`.
 
-        The SoA evaluation path assembles the summed curve directly from
-        arrays (bit-identical to what ``sum_curves`` would produce from
-        the per-cell factory curves); this constructor lets it reuse the
-        compiled sweeps without paying for curve objects it never built.
+        MGL's insertion evaluation assembles the summed curve directly
+        from the push offsets (bit-identical to what ``sum_curves``
+        would produce from the per-cell factory curves); this
+        constructor lets it reuse the compiled sweeps without paying for
+        curve objects it never built.
         """
         compiled = cls.__new__(cls)
         compiled._compile(total)
@@ -470,8 +471,7 @@ class CurveSet:
         """Vectorized :meth:`value` over a batch of positions.
 
         Accepts any array shape — 1-D probe lists and 2-D candidate
-        batches (``candidates x probes``, the shape the SoA evaluation
-        path feeds per window) evaluate through the same flattened
+        batches (``candidates x probes``) evaluate through the same flattened
         searchsorted pass and come back in the input shape.  Small
         batches take the scalar path (the array round-trip costs more
         than it saves below a few dozen points); both paths perform the

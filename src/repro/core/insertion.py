@@ -16,6 +16,7 @@ gaps ("fillers", §3.4).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -29,7 +30,7 @@ from repro.core.curves import (
 )
 from repro.core.occupancy import Occupancy
 from repro.core.refine import RoutabilityGuard
-from repro.core.soa import SoAState, VectorEvaluator
+from repro.model.approx import approx_eq
 from repro.model.design import Design
 from repro.model.geometry import Rect
 from repro.model.row import Segment
@@ -160,12 +161,6 @@ class InsertionContext:
             are looked up there instead of recomputed.  Must only be
             shared between contexts querying the same occupancy from a
             single thread (the scheduler's thread-pool path passes None).
-        soa: optional shared :class:`repro.core.soa.SoAState` mirror of
-            the same occupancy.  When given, :meth:`evaluate` and
-            :meth:`target_cost_lower_bound` route through the
-            vectorized fast path (``eval_backend=vector``); results are
-            bit-identical to the scalar path, which remains the oracle
-            (tests/test_soa_equivalence.py).
     """
 
     def __init__(
@@ -179,7 +174,6 @@ class InsertionContext:
         reference: str = "gp",
         max_gaps_per_row: int = 12,
         gap_cache: Optional[GapCache] = None,
-        soa: Optional[SoAState] = None,
     ):
         if reference not in ("gp", "current"):
             raise ValueError(f"unknown displacement reference {reference!r}")
@@ -198,6 +192,9 @@ class InsertionContext:
         self.gp_x = design.gp_x[target]
         self.gp_y = design.gp_y[target]
         self.x_unit = design.x_unit_rows
+        # Target constants of the bound, the floor and the curve assembly.
+        self._target_weight = self.weight_of(target)
+        self._target_weight_x = self._target_weight * self.x_unit
         #: Everything (besides the occupancy) that a row's gap list depends
         #: on; two contexts with equal profiles enumerate identical gaps.
         self.profile: Tuple[object, ...] = (
@@ -221,15 +218,8 @@ class InsertionContext:
         # Per-row gap lists, memoized for the context's lifetime: the
         # occupancy is frozen while the context exists, so re-enumeration
         # (multi-row targets revisit row r for bottom rows r-h+1..r) can
-        # never observe a different list.  The memo also pins the Gap
-        # object identities, which the vector backend's per-row bound
-        # tables key on.
+        # never observe a different list.
         self._row_gaps: Dict[int, List[Gap]] = {}
-        self._vector: Optional[VectorEvaluator] = (
-            VectorEvaluator(self, soa)
-            if soa is not None and soa.occupancy is occupancy
-            else None
-        )
 
     # ------------------------------------------------------------------
     # Locality and spacing helpers
@@ -326,7 +316,6 @@ class InsertionContext:
 
     def _compute_gaps_in_row(self, row: int) -> List[Gap]:
         gaps: List[Gap] = []
-        vector = self._vector
         for segment in self.design.segments_in_row(row):
             if segment.fence_id != self.fence:
                 continue
@@ -334,10 +323,7 @@ class InsertionContext:
                 continue
             if segment.width < self.target_type.width:
                 continue
-            if vector is not None:
-                gaps.extend(vector.gaps_in_segment(row, segment))
-            else:
-                gaps.extend(self._gaps_in_segment(row, segment))
+            gaps.extend(self._gaps_in_segment(row, segment))
         if len(gaps) > self.max_gaps_per_row:
             gaps.sort(
                 key=lambda g: max(
@@ -348,132 +334,171 @@ class InsertionContext:
         return gaps
 
     def _gaps_in_segment(self, row: int, segment: Segment) -> List[Gap]:
-        """Gaps of every wall-separated run of local cells in the segment.
+        """Gaps of every wall-separated run of local cells the window meets.
 
         Non-local cells (fixed, or poking out of the window) split the
         segment into independent runs; each run contributes its own gap
         list, bounded by the adjacent walls (or segment ends).
+
+        The scan is clipped to the window.  A cell with ``x <
+        window.xlo`` or ``x >= window.xhi`` is never local, so it is a
+        wall, and every run beyond the nearest such wall misses the
+        window and would be skipped.  The scan therefore starts at the
+        last of the segment's cells left of the window (as the left
+        wall) and stops at the first one at or past its right edge (as
+        the right wall); the segment's own bounds, with the edge rules
+        across them, enter only on a side without such a wall.  The
+        gaps, and their order, are those of the full-segment walk
+        (tests/gap_oracle.py).
         """
         occupancy = self.occupancy
-        placement = occupancy.placement
-        cells = occupancy.cells_in_range(row, segment.x_lo, segment.x_hi)
-
-        runs: List[Tuple[int, Optional[int], List[int], int, Optional[int]]] = []
-        # Edge rules also apply across segment (fence) boundaries, where
-        # sites are contiguous: a cell just beyond the boundary pushes the
-        # usable bound inward by its required gap.
-        left_bound = segment.x_lo
-        outside_left = occupancy.left_neighbor(row, segment.x_lo)
-        if outside_left is not None:
-            outside_end = (
-                placement.x[outside_left] + self.cell_width(outside_left)
-            )
-            # Unconditional: the rule reaches across the boundary even
-            # when the outside cell stops short of it (no-op when it is
-            # further away than the required gap).
-            left_bound = max(
-                left_bound, outside_end + self.edge_gap(outside_left, -1)
-            )
-        right_cap = segment.x_hi
-        outside_right = occupancy.right_neighbor(row, segment.x_hi)
-        if outside_right is not None:
-            outside_x = placement.x[outside_right]
-            right_cap = min(
-                right_cap, outside_x - self.edge_gap(-1, outside_right)
-            )
+        xs = occupancy.row_positions(row)
+        cells = occupancy.row_cells(row)
+        widths = self._widths
+        window = self.window
+        # The segment's cells, as Occupancy.cells_in_range lists them:
+        # the one cell that may overhang x_lo from the left, then every
+        # cell starting inside the segment.
+        first = bisect_left(xs, segment.x_lo)
+        if first > 0 and xs[first - 1] + widths[cells[first - 1]] > segment.x_lo:
+            first -= 1
+        end = bisect_left(xs, segment.x_hi, first)
+        start = bisect_left(xs, window.xlo, first, end)
         left_wall_cell: Optional[int] = None
-        local_run: List[int] = []
-        for cell in cells:
-            if self.is_local(cell):
-                local_run.append(cell)
-                continue
-            runs.append(
-                (left_bound, left_wall_cell, local_run, placement.x[cell], cell)
-            )
-            left_bound = placement.x[cell] + self.cell_width(cell)
-            left_wall_cell = cell
-            local_run = []
-        runs.append((left_bound, left_wall_cell, local_run, right_cap, None))
+        if start > first:
+            left_wall_cell = cells[start - 1]
+            left_bound = xs[start - 1] + widths[left_wall_cell]
+        else:
+            # Edge rules also apply across segment (fence) boundaries,
+            # where sites are contiguous: a cell just beyond the boundary
+            # pushes the usable bound inward by its required gap.
+            left_bound = segment.x_lo
+            outside_left = occupancy.left_neighbor(row, segment.x_lo)
+            if outside_left is not None:
+                outside_end = (
+                    occupancy.placement.x[outside_left] + widths[outside_left]
+                )
+                # Unconditional: the rule reaches across the boundary
+                # even when the outside cell stops short of it (no-op
+                # when it is further away than the required gap).
+                left_bound = max(
+                    left_bound, outside_end + self.edge_gap(outside_left, -1)
+                )
+        stop = bisect_left(xs, window.xhi, start, end)
 
         gaps: List[Gap] = []
-        for run in runs:
-            run_lo, lwall, run_cells, run_hi, rwall = run
-            if run_hi - run_lo < self.target_type.width:
-                continue
-            # Skip runs that cannot intersect the window horizontally (the
-            # target is searched inside the window; pushes may still exit).
-            if run_hi <= self.window.xlo or run_lo >= self.window.xhi:
-                continue
-            entities: List[Optional[int]] = [None] + run_cells + [None]
-            for index in range(len(entities) - 1):
-                gap = self._make_gap(
-                    row,
-                    segment,
-                    entities[index],
-                    entities[index + 1],
-                    run_lo,
-                    run_hi,
-                    lwall,
-                    rwall,
-                    run_cells,
-                    index,
+        width = self.target_type.width
+        local_run: List[int] = []
+        for index in range(start, stop + 1):
+            if index < stop:
+                cell = cells[index]
+                if self.is_local(cell):
+                    local_run.append(cell)
+                    continue
+                right_bound = xs[index]
+                right_wall_cell: Optional[int] = cell
+            elif stop < end:
+                # The first cell at or past window.xhi: the last wall.
+                right_wall_cell = cells[stop]
+                right_bound = xs[stop]
+            else:
+                right_wall_cell = None
+                right_bound = segment.x_hi
+                outside_right = occupancy.right_neighbor(row, segment.x_hi)
+                if outside_right is not None:
+                    right_bound = min(
+                        right_bound,
+                        occupancy.placement.x[outside_right]
+                        - self.edge_gap(-1, outside_right),
+                    )
+            # Skip runs too narrow for the target or missing the window
+            # horizontally (the target is searched inside the window;
+            # pushes may still exit it).
+            if right_bound - left_bound >= width and not (
+                right_bound <= window.xlo or left_bound >= window.xhi
+            ):
+                self._run_gaps(
+                    gaps, row, segment, local_run, left_bound, right_bound,
+                    left_wall_cell, right_wall_cell,
                 )
-                if gap is not None:
-                    gaps.append(gap)
+            if right_wall_cell is None:
+                break
+            left_bound = right_bound + widths[right_wall_cell]
+            left_wall_cell = right_wall_cell
+            local_run = []
         return gaps
 
-    def _make_gap(
+    def _run_gaps(
         self,
+        gaps: List[Gap],
         row: int,
         segment: Segment,
-        left_cell: Optional[int],
-        right_cell: Optional[int],
+        run: List[int],
         left_bound: int,
         right_bound: int,
         left_wall_cell: Optional[int],
         right_wall_cell: Optional[int],
-        local_run: List[int],
-        gap_index: int,
-    ) -> Optional[Gap]:
-        """Build one gap with rough per-row compression bounds."""
+    ) -> None:
+        """Append one run's gaps, with rough per-row compression bounds.
+
+        Gap ``i`` lies between run cells ``i - 1`` and ``i``.  Its
+        ``lo_rough`` compresses the cells left of it against the left
+        wall, its ``hi_rough`` the cells right of it against the right
+        wall.  A backward pass over the run computes every ``hi_rough``
+        and a forward pass every ``lo_rough``, each gap's bound taking
+        the exact float operation sequence of compressing its own cells
+        (gaps share the prefixes), so the values equal the per-gap walks
+        of tests/gap_oracle.py at linear instead of quadratic cost.
+        """
+        edge_gap = self.edge_gap
+        widths = self._widths
         width = self.target_type.width
-
-        # Leftmost achievable target x: compress everything left of the gap.
-        position = float(left_bound)
-        previous: Optional[int] = left_wall_cell
-        for cell in local_run[:gap_index]:
-            if previous is not None:
-                position += self.edge_gap(previous, cell)
-            position += self.cell_width(cell)
-            previous = cell
-        lo_rough = position + (self.edge_gap(previous, -1) if previous is not None else 0)
-
-        # Rightmost achievable: compress everything right of the gap.
+        count = len(run)
+        his: List[float] = [0.0] * (count + 1)
         position = float(right_bound)
-        previous = right_wall_cell
-        for cell in reversed(local_run[gap_index:]):
-            if previous is not None:
-                position -= self.edge_gap(cell, previous)
-            position -= self.cell_width(cell)
-            previous = cell
-        hi_rough = position - width - (
-            self.edge_gap(-1, previous) if previous is not None else 0
+        his[count] = position - width - (
+            edge_gap(-1, right_wall_cell) if right_wall_cell is not None else 0
         )
+        following = right_wall_cell
+        for index in range(count - 1, -1, -1):
+            cell = run[index]
+            if following is not None:
+                position -= edge_gap(cell, following)
+            position -= widths[cell]
+            his[index] = position - width - edge_gap(-1, cell)
+            following = cell
 
-        if lo_rough > hi_rough:
-            return None
-        return Gap(
-            row=row,
-            segment=segment,
-            left_cell=left_cell,
-            right_cell=right_cell,
-            left_bound=left_bound,
-            right_bound=right_bound,
-            left_wall_cell=left_wall_cell,
-            right_wall_cell=right_wall_cell,
-            lo_rough=lo_rough,
-            hi_rough=hi_rough,
-        )
+        position = float(left_bound)
+        previous = left_wall_cell
+        left_cell: Optional[int] = None
+        for index in range(count + 1):
+            lo_rough = position + (
+                edge_gap(previous, -1) if previous is not None else 0
+            )
+            right_cell = run[index] if index < count else None
+            hi_rough = his[index]
+            if lo_rough <= hi_rough:
+                gaps.append(
+                    Gap(
+                        row=row,
+                        segment=segment,
+                        left_cell=left_cell,
+                        right_cell=right_cell,
+                        left_bound=left_bound,
+                        right_bound=right_bound,
+                        left_wall_cell=left_wall_cell,
+                        right_wall_cell=right_wall_cell,
+                        lo_rough=lo_rough,
+                        hi_rough=hi_rough,
+                    )
+                )
+            if right_cell is None:
+                break
+            if previous is not None:
+                position += edge_gap(previous, right_cell)
+            position += widths[right_cell]
+            previous = right_cell
+            left_cell = right_cell
 
     def enumerate_insertion_points(
         self, max_points_per_row_set: int = 128
@@ -656,23 +681,14 @@ class InsertionContext:
 
         Uses the rough per-row compression interval; local-cell deltas can
         be negative (type C/D curves), so callers must allow a margin when
-        pruning with this bound.  Routed through the vector backend's
-        batch-computed per-row tables when one is attached; the values
-        are bit-identical either way.
+        pruning with this bound.
         """
-        if self._vector is not None:
-            return self._vector.lower_bound(bottom_row, gaps)
-        return self.lower_bound_scalar(bottom_row, gaps)
-
-    def lower_bound_scalar(
-        self, bottom_row: int, gaps: Sequence[Gap]
-    ) -> float:
-        """The per-candidate reference form of the bound above."""
         lo = max(gap.lo_rough for gap in gaps)
         hi = min(gap.hi_rough for gap in gaps)
         x_dist = max(0.0, lo - self.gp_x, self.gp_x - hi)
-        weight = self.weight_of(self.target)
-        return weight * (abs(bottom_row - self.gp_y) + x_dist * self.x_unit)
+        return self._target_weight * (
+            abs(bottom_row - self.gp_y) + x_dist * self.x_unit
+        )
 
     # ------------------------------------------------------------------
     # Exact evaluation of one insertion point
@@ -687,10 +703,10 @@ class InsertionContext:
         """Exact feasibility, optimal x, and spread moves for a combination.
 
         Returns None when the combination is infeasible (a transitive push
-        does not fit, or a cell would need to move both ways).  Dispatches
-        to the vector backend when one is attached; both backends share
-        the push kernel (:meth:`push_sides`) and are
-        candidate-for-candidate identical.
+        does not fit, or a cell would need to move both ways).  The push
+        analysis is the memoized kernel :meth:`push_sides`; the curve
+        assembly, minimization, guard walk and moves are
+        :meth:`finish_evaluation`.
 
         ``cutoff`` is the incumbent's cost, if there is one.  A candidate
         whose final cost provably exceeds it also returns None, before
@@ -698,17 +714,6 @@ class InsertionContext:
         :meth:`finish_with_compiled`); every other result is exactly the
         one evaluated without a cutoff.
         """
-        if self._vector is not None:
-            return self._vector.evaluate(bottom_row, gaps, cutoff)
-        return self.evaluate_scalar(bottom_row, gaps, cutoff)
-
-    def evaluate_scalar(
-        self,
-        bottom_row: int,
-        gaps: Sequence[Gap],
-        cutoff: Optional[float] = None,
-    ) -> Optional[EvaluatedInsertion]:
-        """The reference evaluation: per-cell curve objects, scalar guard."""
         sides = self.push_sides(gaps)
         if sides is None:
             return None
@@ -722,17 +727,26 @@ class InsertionContext:
         right_limit: float,
         left_offsets: Dict[int, int],
         left_limit: float,
-        vectorized: bool = False,
         cutoff: Optional[float] = None,
     ) -> Optional[EvaluatedInsertion]:
-        """Shared tail of both backends: curves, minimize, guard, moves.
+        """Curves, minimize, guard and moves for one pushed candidate.
+
+        Builds the *summed* displacement curve straight from the push
+        offsets — anchor, ordered value/slope sums, merged breakpoints —
+        performing, per curve, the same float operations ``sum_curves``
+        runs on the factory-built curve objects (every kept intermediate
+        rounds identically).  The per-curve closed forms below are the
+        reference ``value()`` walks at the summed anchor ``m``, which
+        sits at or left of every per-curve anchor because ``min``
+        includes the constant curve's anchor ``0.0``.  Bit-equality with
+        the per-cell curve objects of tests/curve_oracle.py is pinned by
+        tests/test_soa_equivalence.py.
 
         The offsets dicts must be in push order (right side outward-
         ascending, left side outward-descending): curve summation is a
         float accumulation in curve order, so dict order is part of the
-        bit-equality contract.  ``vectorized`` only switches the guard to
-        its batched (but walk-identical) probe path.  ``cutoff`` is the
-        incumbent cost of :meth:`evaluate`.
+        bit-equality contract.  ``cutoff`` is the incumbent cost of
+        :meth:`evaluate`.
         """
         lo = left_limit
         hi = right_limit
@@ -743,47 +757,103 @@ class InsertionContext:
         ):
             return None
 
-        placement = self.occupancy.placement
-        curves: List[DisplacementCurve] = [
-            DisplacementCurve.target(
-                self.gp_x, self.weight_of(self.target) * self.x_unit
-            ),
-            DisplacementCurve.constant(
-                self.weight_of(self.target) * abs(bottom_row - self.gp_y)
-            ),
-        ]
+        placement_x = self.occupancy.placement.x
+        gp_of = self.design.gp_x
+        weight_of = self.weight_of
+        x_unit = self.x_unit
+        use_gp = self.reference == "gp"
+        gp_x = self.gp_x
+        wt_x = self._target_weight_x
+
+        # Pass 1: per-curve primitives in the curve-list order (target V,
+        # row constant, right cells, left cells).
+        anchors: List[float] = [gp_x, 0.0]
+        merged: List[Tuple[float, float]] = [(gp_x, 2.0 * wt_x)]
+        # (kind, base, weight, crit, turn): kind 0 = A/C (value is base),
+        # 1 = B, 2 = D.
+        records: List[Tuple[int, float, float, float, float]] = []
         # Costs are measured as the *change* in the local cells' summed
         # displacement: each cell's current displacement is subtracted so
         # insertion points with different push sets compare fairly.
         baseline = 0.0
-        use_gp = self.reference == "gp"
+        # Ordered left-fold of the per-curve initial slopes (V's -wt_x,
+        # then each left cell's -w; the interleaved 0.0 terms of the
+        # constant and right-cell curves are bitwise identities here
+        # because a negative or +0.0 running sum survives "+ 0.0").
+        initial_slope = 0.0 + -wt_x
         for cell, offset in right_offsets.items():
-            weight = self.weight_of(cell) * self.x_unit
-            anchor = self.design.gp_x[cell] if use_gp else placement.x[cell]
-            curves.append(
-                DisplacementCurve.pushed_right(
-                    placement.x[cell], anchor, offset, weight
-                )
-            )
-            baseline += weight * abs(placement.x[cell] - anchor)
+            weight = weight_of(cell) * x_unit
+            cur = placement_x[cell]
+            anchor = gp_of[cell] if use_gp else cur
+            crit = cur - offset
+            base = weight * abs(cur - anchor)
+            anchors.append(crit)
+            if anchor <= cur:  # Type A
+                merged.append((crit, weight))
+            else:  # Type C
+                merged.append((crit, -weight))
+                merged.append((anchor - offset, 2.0 * weight))
+            records.append((0, base, weight, crit, 0.0))
+            baseline += base
         for cell, offset in left_offsets.items():
-            weight = self.weight_of(cell) * self.x_unit
-            anchor = self.design.gp_x[cell] if use_gp else placement.x[cell]
-            curves.append(
-                DisplacementCurve.pushed_left(
-                    placement.x[cell], anchor, offset, weight
-                )
-            )
-            baseline += weight * abs(placement.x[cell] - anchor)
+            weight = weight_of(cell) * x_unit
+            cur = placement_x[cell]
+            anchor = gp_of[cell] if use_gp else cur
+            crit = cur + offset
+            base = weight * abs(cur - anchor)
+            anchors.append(crit)
+            initial_slope += -weight
+            if anchor >= cur:  # Type B
+                merged.append((crit, weight))
+                records.append((1, base, weight, crit, 0.0))
+            else:  # Type D
+                turn = anchor + offset
+                merged.append((turn, 2.0 * weight))
+                merged.append((crit, -weight))
+                records.append((2, base, weight, crit, turn))
+            baseline += base
+
+        m = min(anchors)
+
+        # Pass 2: the ordered value sum at m.  It starts from int 0
+        # exactly like the generator sum of sum_curves; each term is the
+        # reference backward (or anchor-coincident forward) walk of its
+        # curve, collapsed to a closed form.
+        anchor_value = 0.0 + (
+            wt_x * (m - gp_x) if m >= gp_x else wt_x * (gp_x - m)
+        )
+        anchor_value += self._target_weight * abs(bottom_row - self.gp_y)
+        for kind, base, weight, crit, turn in records:
+            if kind == 0:  # A/C: flat left of crit.
+                anchor_value += base
+            elif kind == 1:  # B: slope -w left of crit.
+                anchor_value += base - (-weight) * (crit - m)
+            elif m >= turn:  # D, between turn and crit.
+                anchor_value += base - weight * (crit - m)
+            else:  # D, left of turn.
+                anchor_value += (base - weight * (crit - turn)) - (
+                    -weight
+                ) * (turn - m)
         if baseline:
-            curves.append(DisplacementCurve.constant(-baseline))
+            anchor_value += -baseline
+
+        # Merge + coalesce, verbatim sum_curves semantics.
+        merged.sort()
+        coalesced: List[Tuple[float, float]] = []
+        for bp_x, delta in merged:
+            if coalesced and approx_eq(coalesced[-1][0], bp_x):
+                coalesced[-1] = (coalesced[-1][0], coalesced[-1][1] + delta)
+            else:
+                coalesced.append((bp_x, delta))
 
         # One compiled curve set serves both the site minimization and the
-        # guard's repeated cost probes; its value() performs bit-identical
-        # arithmetic to DisplacementCurve.value on the summed curve.
+        # guard's repeated cost probes.
+        compiled = CurveSet.from_total(
+            DisplacementCurve(m, anchor_value, initial_slope, tuple(coalesced))
+        )
         return self.finish_with_compiled(
             bottom_row, gaps, right_offsets, left_offsets,
-            lo, hi, CurveSet(curves), vectorized, cutoff,
+            lo, hi, compiled, cutoff,
         )
 
     def loses_by_floor(
@@ -797,11 +867,11 @@ class InsertionContext:
     ) -> bool:
         """Whether the candidate's :func:`cost_floor` exceeds ``cutoff``.
 
-        Shared by both backends, ahead of their curve assembly.  The
-        floor bounds the minimized curve from below, and neither the
-        guard's shift nor its penalties (>= 0) can lower a cost below
-        the minimum, so a candidate failing here costs more than the
-        incumbent and its key loses.
+        Checked ahead of the curve assembly.  The floor bounds the
+        minimized curve from below, and neither the guard's shift nor
+        its penalties (>= 0) can lower a cost below the minimum, so a
+        candidate failing here costs more than the incumbent and its key
+        loses.
         """
         if cutoff is None:
             return False
@@ -826,8 +896,8 @@ class InsertionContext:
         # NumPy scalars); the values are unchanged.
         floor = cost_floor(
             float(self.gp_x),
-            weight_of(self.target) * x_unit,
-            float(weight_of(self.target) * abs(bottom_row - self.gp_y)),
+            self._target_weight_x,
+            float(self._target_weight * abs(bottom_row - self.gp_y)),
             pushed(right_offsets),
             pushed(left_offsets),
             math.ceil(lo),
@@ -844,14 +914,12 @@ class InsertionContext:
         lo: float,
         hi: float,
         compiled: CurveSet,
-        vectorized: bool,
         cutoff: Optional[float] = None,
     ) -> Optional[EvaluatedInsertion]:
         """Minimize + guard + moves over an already-compiled curve set.
 
-        Split out of :meth:`finish_evaluation` so the SoA backend, which
-        assembles the summed curve directly from arrays, can join the
-        shared pipeline at the compiled stage.
+        Split out of :meth:`finish_evaluation` so the reference curve
+        assembly of tests/curve_oracle.py shares this tail.
 
         With a ``cutoff``, a minimum above ``cutoff + SLACK`` returns
         None before the guard walk: the guard only moves to sites whose
@@ -872,7 +940,7 @@ class InsertionContext:
         if self.guard is not None:
             if not self.target_type.pins:
                 extra = 0.0
-            elif vectorized:
+            else:
                 best_x, extra = self.guard.adjust_x_vector(
                     self.target_type,
                     bottom_row,
@@ -881,15 +949,6 @@ class InsertionContext:
                     int(math.floor(hi)),
                     compiled.value,
                     compiled.values,
-                )
-            else:
-                best_x, extra = self.guard.adjust_x(
-                    self.target_type,
-                    bottom_row,
-                    best_x,
-                    int(math.ceil(lo)),
-                    int(math.floor(hi)),
-                    compiled.value,
                 )
             best_cost = compiled.value(best_x) + extra
 
@@ -908,7 +967,7 @@ class InsertionContext:
         )
 
     # ------------------------------------------------------------------
-    # Transitive push analysis: one memoized kernel for both backends
+    # Transitive push analysis: one memoized kernel
     # ------------------------------------------------------------------
 
     def _segment_neighbors(
@@ -943,7 +1002,7 @@ class InsertionContext:
     def push_sides(self, gaps: Sequence[Gap]) -> Optional[PushSides]:
         """Transitive push analysis of both sides of one candidate.
 
-        The single push entry point of both evaluation backends.  Returns
+        The single push entry point of :meth:`evaluate`.  Returns
         ``(right offsets, right limit, left offsets, left limit)``, where
         ``offsets[cell]`` is the chain offset from the target and a limit
         bounds the target's x (upper on the right, lower on the left), or

@@ -16,7 +16,6 @@ from repro.core.insertion import EvaluatedInsertion, GapCache, InsertionContext
 from repro.core.occupancy import Occupancy
 from repro.core.params import LegalizerParams
 from repro.core.refine import RoutabilityGuard
-from repro.core.soa import SoAState
 from repro.model.design import Design
 from repro.model.geometry import Rect
 from repro.model.placement import Placement
@@ -191,9 +190,6 @@ class MGLegalizer:
             if self.params.use_gap_cache and self.params.scheduler_capacity > 1
             else None
         )
-        # Shared SoA mirror for the vector evaluation backend, rebuilt
-        # when the target occupancy changes; see :meth:`soa_for`.
-        self._soa: Optional[SoAState] = None
         #: The row-band partition of the last sharded run (params.shards
         #: > 1); None on the unsharded paths.  See repro.core.shard.
         self.shard_topology: Optional["ShardTopology"] = None
@@ -226,29 +222,6 @@ class MGLegalizer:
             min(chip.yhi, cy + half_h),
         )
 
-    def soa_for(self, occupancy: Occupancy) -> Optional[SoAState]:
-        """The shared SoA mirror of ``occupancy`` (None on the scalar backend).
-
-        Memoized on the legalizer; the memo write only happens when the
-        occupancy identity changes (once per run in practice), so
-        concurrent *readers* — the scheduler's thread pool after its
-        serial priming call — never race it.  The mirror's per-row
-        snapshots are thread-local and version-checked, so sharing one
-        instance across evaluations is safe and is exactly what lets
-        batch members reuse each other's row snapshots.
-        """
-        if self.params.eval_backend != "vector":
-            return None
-        soa = self._soa
-        if (
-            soa is None
-            or soa.occupancy is not occupancy
-            or soa.num_cells != self.design.num_cells
-        ):
-            soa = SoAState(self.design, occupancy)
-            self._soa = soa
-        return soa
-
     def evaluate_insert(
         self,
         occupancy: Occupancy,
@@ -256,7 +229,6 @@ class MGLegalizer:
         window: Rect,
         exhaustive: bool = False,
         cache: Optional[GapCache] = None,
-        soa: Optional[SoAState] = None,
     ) -> Tuple[Optional[EvaluatedInsertion], int]:
         """Best feasible insertion of ``cell`` within ``window`` (unapplied).
 
@@ -284,15 +256,6 @@ class MGLegalizer:
         is a *soft* constraint (§2), so when the only rows a fence allows
         are rail-conflicted, the cell is placed there anyway and the
         violations are simply counted.
-
-        ``soa`` is the shared SoA mirror for the vector backend.  It is
-        deliberately *not* resolved here — :meth:`soa_for` memoizes on
-        the legalizer, and this method is contract-pure (repro-lint
-        C002) so the scheduler may fan it out to a thread pool.
-        Callers resolve it serially and pass it in (see
-        :meth:`evaluate_and_count`, :meth:`evaluate_insert_many`);
-        leaving it None simply runs the scalar backend, which is
-        result-identical.
         """
         context = InsertionContext(
             self.design,
@@ -306,7 +269,6 @@ class MGLegalizer:
                 1 << 30 if exhaustive else self.params.max_gaps_per_row
             ),
             gap_cache=cache,
-            soa=soa,
         )
         margin = self.params.prune_margin
         max_points = (
@@ -325,15 +287,12 @@ class MGLegalizer:
     ) -> List[Tuple[Optional[EvaluatedInsertion], int]]:
         """Batched :meth:`evaluate_insert` over ``(cell, window)`` tasks.
 
-        All tasks are evaluated against the same frozen occupancy and —
-        on the vector backend — share the legalizer's SoA mirror, so row
-        snapshots built for one window are reused by every later batch
-        member touching the same rows.  Results are element-for-element
-        exactly ``evaluate_insert(occupancy, cell, window)``; the batch
-        width lands in the ``mgl.batch_width`` histogram, which the
-        capacity autotuner reads (see repro.obs.autotune).
+        All tasks are evaluated against the same frozen occupancy.
+        Results are element-for-element exactly
+        ``evaluate_insert(occupancy, cell, window)``; the batch width
+        lands in the ``mgl.batch_width`` histogram, which the capacity
+        autotuner reads (see repro.obs.autotune).
         """
-        soa = self.soa_for(occupancy)
         if self.recorder is not None and tasks:
             self.recorder.registry.observe(
                 "mgl.batch_width", float(len(tasks)), BATCH_WIDTH_BUCKETS
@@ -341,7 +300,7 @@ class MGLegalizer:
         return [
             self.evaluate_insert(
                 occupancy, cell, window,
-                exhaustive=exhaustive, cache=cache, soa=soa,
+                exhaustive=exhaustive, cache=cache,
             )
             for cell, window in tasks
         ]
@@ -381,7 +340,7 @@ class MGLegalizer:
         """
         best, evaluated_points = self.evaluate_insert(
             occupancy, cell, window, exhaustive=exhaustive,
-            cache=self.gap_cache, soa=self.soa_for(occupancy),
+            cache=self.gap_cache,
         )
         self.stats["insertions_evaluated"] += evaluated_points
         return best, evaluated_points

@@ -176,9 +176,8 @@ class Occupancy:
     def row_positions(self, row: int) -> Sequence[int]:
         """x positions of :meth:`row_cells`, parallel and x-sorted.
 
-        Together with :meth:`row_version` this is the sync surface the
-        structure-of-arrays mirror (repro.core.soa) snapshots from: a
-        row's arrays are rebuilt exactly when its version moved.  The
+        MGL's gap enumeration bisects it to clip a segment's scan to the
+        search window (``InsertionContext._gaps_in_segment``).  The
         returned sequence is the live internal list — callers must not
         mutate it and must not hold it across occupancy mutations.
         """

@@ -149,12 +149,6 @@ def worker_main(conn: Connection) -> None:
             int(parent_versions[row]) - occupancy.row_version(row)
             for row in range(design.num_rows)
         ]
-        # Vector backend: one SoA mirror per worker, resolved once — the
-        # mirror's occupancy identity never changes here, and its per-row
-        # snapshots re-sync from row versions as journal deltas land, so
-        # every task in every batch reads fresh state through it.  None
-        # on the scalar backend.
-        soa = legalizer.soa_for(occupancy)
         conn.send(("ready",))
 
         while True:
@@ -178,7 +172,6 @@ def worker_main(conn: Connection) -> None:
                 eval_start = monotonic()
                 best, points = legalizer.evaluate_insert(
                     occupancy, cell, window, cache=legalizer.gap_cache,
-                    soa=soa,
                 )
                 payload = (
                     evaluation_span_payload(

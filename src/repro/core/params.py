@@ -101,18 +101,10 @@ class LegalizerParams:
             scheduler re-evaluations, invalidated by occupancy row
             versions (see repro.core.insertion.GapCache).  Results are
             identical with or without the cache.
-        eval_backend: insertion-evaluation backend.  ``"vector"`` (the
-            default) routes ``InsertionContext.evaluate`` through the
-            structure-of-arrays fast path (repro.core.soa): array gap
-            enumeration, vectorized lower bounds, flat curve assembly,
-            and batched guard probes.  ``"scalar"`` keeps per-cell
-            curve objects and the per-probe guard walk, and is the
-            oracle for those stages: both backends produce
-            bit-identical placements and identical
-            ``insertions_evaluated`` counts (property-tested in
-            tests/test_soa_equivalence.py), exactly like the
-            ``candidate_order`` contract.  Push analysis is the same
-            memoized kernel on both (``InsertionContext.push_sides``).
+
+    Insertion evaluation has a single implementation
+    (``repro.core.insertion.InsertionContext``), so no parameter selects
+    an evaluator; see docs/PERFORMANCE.md ("Insertion evaluation").
     """
 
     window_width: int = 40
@@ -142,7 +134,6 @@ class LegalizerParams:
     seed_order: str = "height_area_x"
     candidate_order: str = "best_first"
     use_gap_cache: bool = True
-    eval_backend: str = "vector"
 
     def validate(self) -> None:
         """Raise :class:`ValueError` on out-of-range settings."""
@@ -174,5 +165,3 @@ class LegalizerParams:
             raise ValueError("shard_halo_rows must be non-negative")
         if self.candidate_order not in ("best_first", "linear"):
             raise ValueError(f"unknown candidate_order {self.candidate_order!r}")
-        if self.eval_backend not in ("vector", "scalar"):
-            raise ValueError(f"unknown eval_backend {self.eval_backend!r}")

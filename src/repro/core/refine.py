@@ -254,7 +254,7 @@ class RoutabilityGuard:
         return best_x, best_total - cost_at(best_x)
 
     # ------------------------------------------------------------------
-    # Vectorized guard path (repro.core.soa rail/blockage masks)
+    # Vectorized guard path (per-site rail/blockage masks)
     # ------------------------------------------------------------------
 
     @property

@@ -248,11 +248,10 @@ class WindowScheduler:
         depends on the backend.
 
         The in-process path hands the whole batch to
-        :meth:`MGLegalizer.evaluate_insert_many`, so members share the
-        legalizer's SoA mirror (row snapshots built for one window are
-        reused by later members) and the batch width lands in the
-        ``mgl.batch_width`` histogram; the pool paths observe the same
-        width so the distribution stays backend-independent.
+        :meth:`MGLegalizer.evaluate_insert_many`, so the batch width
+        lands in the ``mgl.batch_width`` histogram; the pool paths
+        observe the same width so the distribution stays
+        backend-independent.
         """
         legalizer = self.legalizer
         traced = legalizer.tracer.enabled
@@ -284,16 +283,11 @@ class WindowScheduler:
                 in zip(batch, results)
             ]
         # Submit the pure evaluation (not try_insert: its stats update is
-        # a shared-state write) and fold the counts back in serially.  The
-        # SoA mirror is resolved *here*, on the scheduler thread, so the
-        # memo write happens before any pool thread reads it; the mirror's
-        # per-row snapshots are thread-local, making the shared instance
-        # safe to read concurrently.
+        # a shared-state write) and fold the counts back in serially.
         self._observe_batch_width(len(batch))
-        soa = legalizer.soa_for(self.occupancy)
         futures = [
             pool.submit(legalizer.evaluate_insert, self.occupancy, cell,
-                        window, soa=soa)
+                        window)
             for cell, _scale, _attempts, window in batch
         ]
         results = [future.result() for future in futures]

@@ -74,6 +74,23 @@ class TestInputErrors:
         assert len(err.splitlines()) == 1
         assert str(missing) in err
 
+    def test_over_full_design_exits_3(self, tmp_path, capsys):
+        """An unplaceable cell is one line and exit 3, not a traceback."""
+        design = tmp_path / "d.txt"
+        out = tmp_path / "out.pl"
+        assert main([
+            "generate", "d", "-o", str(design), "--cells", "1:120", "2:12",
+            "--density", "1.0", "--fences", "2", "--seed", "3",
+        ]) == 0
+        capsys.readouterr()
+        code = main(["legalize", str(design), "-o", str(out)])
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "cannot be placed" in err and "over-full" in err
+        assert "Traceback" not in err
+
     def test_missing_file_without_a_path(self, monkeypatch, capsys):
         def no_path(args):
             raise FileNotFoundError("no bundle found")

@@ -1,46 +1,57 @@
-"""Bit-equality of the vectorized (SoA) backend against the scalar oracle.
+"""The single insertion evaluator equals its test oracles.
 
-``eval_backend=vector`` routes gap enumeration, curve assembly, the
-candidate lower bound, and the guard walk through
-:mod:`repro.core.soa`'s structure-of-arrays fast paths.  The scalar
-backend stays in the tree as the oracle, and the whole optimization is
-only legitimate while the two are *bit-identical* — same placements,
-same ``insertions_evaluated`` counts, candidate for candidate.  Push
-analysis is outside this comparison: both backends call the same
-memoized kernel (:meth:`InsertionContext.push_sides`), so a push bug
-would show on both sides alike; tests/test_push_kernel.py checks that
-kernel against the per-candidate reference walk instead.  These tests
-pin the contract:
+MGL's insertion evaluation (:class:`repro.core.insertion.InsertionContext`)
+has one implementation.  Two of its stages replaced slower reference
+walks that now live under ``tests/`` as oracles:
 
-* an end-to-end Hypothesis property over random mixed-height designs
-  with fences and placement blockages, with routability on and off;
-* per-candidate equality of :meth:`InsertionContext.evaluate` (vector)
-  against :meth:`InsertionContext.evaluate_scalar` on live mid-run
-  occupancies;
-* gap-enumeration equality of :meth:`VectorEvaluator.gaps_in_segment`
-  against the scalar ``_gaps_in_segment`` walk;
-* the batch-computed candidate lower bound against its scalar form;
+* gap enumeration — the window-clipped scan with linear run bounds
+  (``_gaps_in_segment``) against the full-segment walk that re-walks
+  each run per gap (tests/gap_oracle.py);
+* curve assembly — the summed curve built straight from the push
+  offsets (``finish_evaluation``) against per-cell curve objects summed
+  by ``CurveSet(curves)`` (tests/curve_oracle.py).
+
+The optimization is only legitimate while both are *bit-identical* to
+their oracles.  These tests pin the contract:
+
+* per-row gap lists, field for field and in order, for every row and
+  segment of live mid-run occupancies (fences with edge rules across
+  their boundaries, fixed macros, blockages), under windows of several
+  sizes and offsets — most segments are much wider than the window;
+* per-candidate ``x``, ``y``, ``cost`` (bit-equal) and ``moves``
+  against the oracle finish, with routability on and off, with
+  ``reference="current"``, and under an incumbent cutoff;
+* an end-to-end Hypothesis property: legalizing with both oracles
+  monkeypatched in and without them gives identical placements,
+  ``insertions_evaluated`` and ``window_expansions``;
 * :meth:`CurveSet.from_total` (the flat-assembly entry point) against
   the summing constructor, and 2-D ``values`` batches against scalar
   ``value`` calls.
+
+Push analysis has its own oracle (tests/test_push_kernel.py), which
+imports :func:`build_design` from here.
 """
 
+import dataclasses
 import random
+from typing import Dict, Iterator, List, Optional, Tuple
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from repro.benchgen import generate_design, iccad2017_suite
 from repro.core.curves import CurveSet, sum_curves
-from repro.core.insertion import InsertionContext
+from repro.core.insertion import Gap, InsertionContext
 from repro.core.mgl import LegalizationError, MGLegalizer, mgl_cell_order
 from repro.core.occupancy import Occupancy
 from repro.core.params import LegalizerParams
-from repro.core.soa import SoAState
 from repro.model.design import Design
 from repro.model.fence import FenceRegion
 from repro.model.geometry import Rect
 from repro.model.placement import Placement
 from repro.model.technology import CellType, Technology
 
+from tests import curve_oracle, gap_oracle
 from tests.test_perf_equivalence import random_curves
 
 
@@ -92,54 +103,81 @@ def build_design(
     return design
 
 
-def run_once(
-    design: Design, backend: str, routability: bool
-) -> "tuple[list, dict]":
-    params = LegalizerParams(routability=routability, eval_backend=backend)
-    legalizer = MGLegalizer(design, params)
+def fenced_stand_in(seed: int) -> Design:
+    """A tiny design from the benchmark's ``fenced_mixed`` suite row.
+
+    1-4-row cells, two fences, edge-spacing rules, P/G rails with pins,
+    IO pins, two blockages and two fixed macros.
+    """
+    spec = iccad2017_suite(0.001, names=["des_perf_b_md2"])[0].spec
+    return generate_design(dataclasses.replace(spec, seed=seed))
+
+
+def legalize(
+    design: Design, routability: bool
+) -> Tuple[List[Tuple[int, int]], Dict[str, int]]:
+    legalizer = MGLegalizer(design, LegalizerParams(routability=routability))
     placement = legalizer.run()
     return list(zip(placement.x, placement.y)), dict(legalizer.stats)
 
 
-class TestBackendEquivalence:
+def install_oracles(patch: pytest.MonkeyPatch) -> None:
+    """Route gap enumeration and curve assembly through the oracles."""
+    patch.setattr(
+        InsertionContext, "_gaps_in_segment", gap_oracle.gaps_in_segment
+    )
+    patch.setattr(
+        InsertionContext, "finish_evaluation", curve_oracle.finish_evaluation
+    )
+
+
+class TestOracleEquivalence:
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 10_000), density=st.floats(0.2, 0.5),
            with_fence=st.booleans(), with_blockage=st.booleans(),
            routability=st.booleans())
-    def test_vector_matches_scalar(self, seed, density, with_fence,
-                                   with_blockage, routability):
+    def test_single_path_matches_oracles(self, seed, density, with_fence,
+                                         with_blockage, routability):
         design = build_design(seed, density, with_fence, with_blockage)
         try:
-            scalar_pos, scalar_stats = run_once(design, "scalar", routability)
+            with pytest.MonkeyPatch.context() as patch:
+                install_oracles(patch)
+                oracle_pos, oracle_stats = legalize(design, routability)
         except LegalizationError:
             assume(False)  # Over-full fence/blockage draw; not this contract.
             return
-        vector_pos, vector_stats = run_once(design, "vector", routability)
-        assert vector_pos == scalar_pos
-        assert (
-            vector_stats["insertions_evaluated"]
-            == scalar_stats["insertions_evaluated"]
-        )
-        assert (
-            vector_stats["window_expansions"]
-            == scalar_stats["window_expansions"]
-        )
+        got_pos, got_stats = legalize(design, routability)
+        assert got_pos == oracle_pos
+        for counter in ("insertions_evaluated", "window_expansions"):
+            assert got_stats[counter] == oracle_stats[counter], counter
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_fenced_stand_in_matches_oracles(self, seed):
+        """Edge rules, rails with pins, macros: the benchmark's features."""
+        design = fenced_stand_in(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            install_oracles(patch)
+            oracle_pos, oracle_stats = legalize(design, True)
+        got_pos, got_stats = legalize(design, True)
+        assert got_pos == oracle_pos
+        for counter in ("insertions_evaluated", "window_expansions"):
+            assert got_stats[counter] == oracle_stats[counter], counter
 
 
-def _mid_run_states(
-    seed: int, fraction: float = 0.6
-) -> "tuple[Design, Occupancy, list[int]] | None":
-    """A design with the first ``fraction`` of its cells legalized.
+def _mid_run_state(
+    design: Design, fraction: float = 0.6, per_height: int = 2
+) -> "Optional[Tuple[MGLegalizer, Occupancy, List[int]]]":
+    """A live occupancy with held-out targets of every height.
 
-    Mid-run occupancies are where the backends actually disagree when
-    they disagree — partially filled rows, pushed neighbors, snapped
+    Mid-run occupancies are where a fast path disagrees with its oracle
+    when it does — partially filled rows, pushed neighbors, snapped
     positions — so the per-candidate tests run against one instead of a
-    synthetic hand-laid grid.  Returns the remaining (unplaced) cells,
-    or None when the random draw turns out infeasible.
+    synthetic hand-laid grid.  Up to ``per_height`` targets of each
+    height are held out, then the first ``fraction`` of the other cells
+    are legalized in MGL order.  None when the draw is infeasible.
     """
-    design = build_design(seed, 0.4, with_fence=True, with_blockage=True)
-    legalizer = MGLegalizer(design, LegalizerParams(routability=False))
+    legalizer = MGLegalizer(design, LegalizerParams(routability=True))
     placement = Placement(design)
     occupancy = Occupancy(design, placement)
     for cell in range(design.num_cells):
@@ -149,30 +187,45 @@ def _mid_run_states(
             )
             occupancy.add(cell)
     order = list(mgl_cell_order(design, legalizer.params))
-    split = max(1, int(len(order) * fraction))
+    picked: Dict[int, List[int]] = {}
+    for cell in order:
+        group = picked.setdefault(design.cell_heights[cell], [])
+        if len(group) < per_height:
+            group.append(cell)
+    targets = [cell for height in sorted(picked) for cell in picked[height]]
+    held = set(targets)
+    rest = [cell for cell in order if cell not in held]
     try:
-        for cell in order[:split]:
+        for cell in rest[: max(1, int(len(rest) * fraction))]:
             legalizer.legalize_cell(occupancy, cell)
     except LegalizationError:
         return None
-    return design, occupancy, order[split:]
+    return legalizer, occupancy, targets
 
 
-def _context_pair(
-    design: Design, occupancy: Occupancy, target: int
-) -> "tuple[InsertionContext, InsertionContext]":
-    """(scalar context, vector context) over the same frozen occupancy."""
-    window = design.chip_rect
-    scalar = InsertionContext(design, occupancy, target, window)
-    vector = InsertionContext(
-        design, occupancy, target, window,
-        soa=SoAState(design, occupancy),
-    )
-    assert vector._vector is not None
-    return scalar, vector
+def _windows(
+    legalizer: MGLegalizer, cell: int, rng: random.Random
+) -> Iterator[Rect]:
+    """The legalizer's own windows, random boxes, and the chip.
+
+    The random boxes are 1 to 30 sites wide at integer and fractional
+    offsets, some hanging off the chip edge, so that the clipped scan
+    meets walls on both sides, on one side, and on neither.
+    """
+    design = legalizer.design
+    yield legalizer.initial_window(cell)
+    yield legalizer.initial_window(cell, legalizer.params.window_expand)
+    for width in (1.0, 3.0, 7.5, 12.0, 30.0):
+        for _ in range(3):
+            xlo = rng.uniform(-4.0, design.num_sites)
+            if rng.random() < 0.5:
+                xlo = float(int(xlo))
+            ylo = float(rng.randrange(0, design.num_rows))
+            yield Rect(xlo, ylo, xlo + width, ylo + rng.choice([1, 3, 6]))
+    yield design.chip_rect
 
 
-def _gap_fields(gap) -> tuple:
+def _gap_fields(gap: Gap) -> tuple:
     return (
         gap.row, gap.segment.x_lo, gap.segment.x_hi, gap.left_cell,
         gap.right_cell, gap.left_bound, gap.right_bound,
@@ -180,75 +233,128 @@ def _gap_fields(gap) -> tuple:
     )
 
 
+def _designs(seed: int) -> Iterator[Design]:
+    yield fenced_stand_in(seed)
+    yield build_design(seed, 0.45, with_fence=True, with_blockage=True)
+
+
 class TestPerCandidateEquality:
     @settings(max_examples=5, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 10_000))
     def test_gap_enumeration_matches_scalar(self, seed):
-        state = _mid_run_states(seed)
-        assume(state is not None)
-        design, occupancy, remaining = state
-        assume(remaining)
-        scalar, vector = _context_pair(design, occupancy, remaining[0])
-        evaluator = vector._vector
+        """Every segment's gaps equal the full-segment walk's, in order."""
+        rng = random.Random(seed)
+        compared = 0
+        for design in _designs(seed):
+            state = _mid_run_state(design)
+            if state is None:
+                continue
+            legalizer, occupancy, targets = state
+            for target in targets:
+                for window in _windows(legalizer, target, rng):
+                    context = InsertionContext(
+                        design, occupancy, target, window
+                    )
+                    for row in range(design.num_rows):
+                        for segment in design.segments_in_row(row):
+                            expected = gap_oracle.gaps_in_segment(
+                                context, row, segment
+                            )
+                            got = context._gaps_in_segment(row, segment)
+                            assert [_gap_fields(g) for g in got] == [
+                                _gap_fields(g) for g in expected
+                            ], (target, window, row, segment)
+                            compared += len(expected)
+        assume(compared)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gap_enumeration_on_illegal_occupancies(self, seed):
+        """Cells straddling fence and blockage edges, edge-rule violations.
+
+        Legal states never have a cell overhanging a segment's left end,
+        which the scan must still count as the segment's first cell.
+        """
+        # Imported here: tests/test_push_kernel.py imports this module.
+        from tests.test_push_kernel import random_occupancy
+
+        rng = random.Random(seed)
+        design = fenced_stand_in(seed)
+        occupancy, targets = random_occupancy(design, seed, per_height=2)
+        legalizer = MGLegalizer(design, LegalizerParams(routability=False))
+        overhangs = 0
         for row in range(design.num_rows):
             for segment in design.segments_in_row(row):
-                expected = scalar._gaps_in_segment(row, segment)
-                got = evaluator.gaps_in_segment(row, segment)
-                assert [_gap_fields(g) for g in got] == [
-                    _gap_fields(g) for g in expected
-                ], (row, segment)
+                cells = occupancy.cells_in_range(row, segment.x_lo, segment.x_hi)
+                overhangs += any(
+                    occupancy.placement.x[cell] < segment.x_lo for cell in cells
+                )
+        assert overhangs
+        for target in targets:
+            for window in _windows(legalizer, target, rng):
+                context = InsertionContext(design, occupancy, target, window)
+                for row in range(design.num_rows):
+                    for segment in design.segments_in_row(row):
+                        expected = gap_oracle.gaps_in_segment(
+                            context, row, segment
+                        )
+                        got = context._gaps_in_segment(row, segment)
+                        assert [_gap_fields(g) for g in got] == [
+                            _gap_fields(g) for g in expected
+                        ], (target, window, row, segment)
 
     @settings(max_examples=5, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 10_000))
     def test_evaluate_matches_scalar_per_candidate(self, seed):
-        state = _mid_run_states(seed)
-        assume(state is not None)
-        design, occupancy, remaining = state
-        assume(remaining)
+        """The direct curve assembly equals the per-cell curve objects."""
         checked = 0
-        for target in remaining[:3]:
-            scalar, vector = _context_pair(design, occupancy, target)
-            for bottom_row, gaps in vector.enumerate_insertion_points():
-                expected = vector.evaluate_scalar(bottom_row, gaps)
-                got = vector.evaluate(bottom_row, gaps)
-                if expected is None:
-                    assert got is None, (target, bottom_row)
-                else:
-                    assert got is not None, (target, bottom_row)
-                    assert got.x == expected.x
-                    assert got.y == expected.y
-                    assert got.cost == expected.cost  # bit-equal, no tolerance
-                    assert got.moves == expected.moves
-                checked += 1
-            # The scalar context enumerates the identical candidate set.
-            assert [
-                (row, tuple(_gap_fields(g) for g in gaps))
-                for row, gaps in scalar.enumerate_insertion_points()
-            ] == [
-                (row, tuple(_gap_fields(g) for g in gaps))
-                for row, gaps in vector.enumerate_insertion_points()
-            ]
+        for design in _designs(seed):
+            state = _mid_run_state(design)
+            if state is None:
+                continue
+            legalizer, occupancy, targets = state
+            for target in targets:
+                for guard in (None, legalizer.guard):
+                    for reference in ("gp", "current"):
+                        checked += self._compare_candidates(
+                            design, occupancy, target, guard, reference
+                        )
         assume(checked)
 
-    @settings(max_examples=5, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(seed=st.integers(0, 10_000))
-    def test_lower_bound_matches_scalar(self, seed):
-        state = _mid_run_states(seed)
-        assume(state is not None)
-        design, occupancy, remaining = state
-        assume(remaining)
-        _, vector = _context_pair(design, occupancy, remaining[0])
-        evaluator = vector._vector
+    @staticmethod
+    def _compare_candidates(design, occupancy, target, guard, reference):
+        context = InsertionContext(
+            design, occupancy, target, design.chip_rect,
+            guard=guard, reference=reference,
+        )
         checked = 0
-        for bottom_row, gaps in vector.enumerate_insertion_points():
-            assert evaluator.lower_bound(bottom_row, gaps) == (
-                vector.lower_bound_scalar(bottom_row, gaps)
-            )
-            checked += 1
-        assume(checked)
+        incumbent: Optional[float] = None
+        for bottom_row, gaps in context.enumerate_insertion_points():
+            sides = context.push_sides(gaps)
+            if sides is None:
+                assert context.evaluate(bottom_row, gaps) is None
+                continue
+            # With no cutoff, then under a live incumbent's cost.
+            for cutoff in (None, incumbent):
+                expected = curve_oracle.finish_evaluation(
+                    context, bottom_row, gaps, *sides, cutoff=cutoff
+                )
+                got = context.finish_evaluation(
+                    bottom_row, gaps, *sides, cutoff=cutoff
+                )
+                if expected is None:
+                    assert got is None, (target, bottom_row, cutoff)
+                    continue
+                assert got is not None, (target, bottom_row, cutoff)
+                assert got.x == expected.x
+                assert got.y == expected.y
+                assert got.cost == expected.cost  # bit-equal, no tolerance
+                assert got.moves == expected.moves
+                checked += 1
+                if incumbent is None or expected.cost < incumbent:
+                    incumbent = expected.cost
+        return checked
 
 
 class TestCurveBatching:
